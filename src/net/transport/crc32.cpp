@@ -1,34 +1,63 @@
 #include "net/transport/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace adafl::net::transport {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-16: table k maps a byte to its CRC contribution when followed
+// by k zero bytes, so one step folds 16 input bytes with 16 independent
+// lookups instead of a 16-long dependency chain. 16 KB of constant tables,
+// built at compile time; byte order is fixed by assembling the words from
+// bytes, so the result is the same on every host.
+using Tables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
   return t;
 }
 
-const std::array<std::uint32_t, 256>& table() {
-  static const std::array<std::uint32_t, 256> t = make_table();
-  return t;
+constexpr Tables kTables = make_tables();
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
 }
 
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc,
                            std::span<const std::uint8_t> data) {
-  const auto& t = table();
+  const auto& t = kTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = t[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 16; n -= 16, p += 16) {
+    const std::uint32_t w0 = load_le32(p) ^ c;
+    const std::uint32_t w1 = load_le32(p + 4);
+    const std::uint32_t w2 = load_le32(p + 8);
+    const std::uint32_t w3 = load_le32(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+        t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

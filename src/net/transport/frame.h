@@ -78,22 +78,17 @@ std::vector<std::uint8_t> encode_frame(const Frame& f);
 /// the buffer is not exactly one well-formed frame.
 Frame decode_frame(std::span<const std::uint8_t> bytes);
 
-/// Incremental stream parser: feed() raw bytes as they arrive, next() pops
-/// completed frames. Throws CheckError on malformed input; after a throw the
-/// stream is poisoned and the connection should be dropped.
+/// Incremental stream parser: consume() raw bytes as they arrive, next()
+/// pops completed frames. Throws CheckError on malformed input; after a
+/// throw the stream is poisoned and the connection should be dropped.
 class FrameParser {
  public:
-  /// Appends stream bytes and extracts any completed frames.
-  void feed(std::span<const std::uint8_t> data);
-
-  /// Non-copying incremental feed for non-blocking readers (the event
-  /// loop): frames wholly contained in `data` are decoded straight out of
-  /// the caller's buffer without ever passing through the internal stream
-  /// buffer; only a trailing partial frame (or the continuation of one) is
-  /// copied and retained. Byte-for-byte equivalent to feed() — any split of
-  /// a stream across consume() calls yields the identical frame sequence
-  /// (tests/test_frame.cpp pins this). Returns the number of frames
-  /// completed by this call.
+  /// Appends stream bytes and extracts any completed frames. Frames wholly
+  /// contained in `data` are decoded straight out of the caller's buffer;
+  /// only a trailing partial frame (or the continuation of one) is copied
+  /// and retained. Any split of a stream across consume() calls yields the
+  /// identical frame sequence (tests/test_frame.cpp pins this). Returns the
+  /// number of frames completed by this call.
   std::size_t consume(std::span<const std::uint8_t> data);
 
   /// Pops the oldest completed frame, if any.

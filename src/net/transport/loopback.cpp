@@ -25,23 +25,21 @@ bool LoopbackTransport::send(const Frame& f) {
 
 std::optional<Frame> LoopbackTransport::recv(
     std::chrono::milliseconds timeout) {
-  // Drain anything already parsed first.
-  if (auto f = parser_.next()) return f;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    std::vector<std::uint8_t> encoded;
-    {
-      std::unique_lock<std::mutex> lock(rx_->mu);
-      rx_->cv.wait_until(lock, deadline, [&] {
+  std::vector<std::uint8_t> encoded;
+  {
+    std::unique_lock<std::mutex> lock(rx_->mu);
+    // A zero timeout is a poll: the timed wait's timer slack would put an
+    // idle poll to sleep.
+    if (timeout.count() > 0)
+      rx_->cv.wait_for(lock, timeout, [&] {
         return !rx_->queue.empty() || rx_->closed;
       });
-      if (rx_->queue.empty()) return std::nullopt;  // timeout or closed
-      encoded = std::move(rx_->queue.front());
-      rx_->queue.pop_front();
-    }
-    parser_.feed(encoded);
-    if (auto f = parser_.next()) return f;
+    if (rx_->queue.empty()) return std::nullopt;  // timeout or closed
+    encoded = std::move(rx_->queue.front());
+    rx_->queue.pop_front();
   }
+  // Every queued buffer is exactly one encoded frame.
+  return decode_frame(encoded);
 }
 
 bool LoopbackTransport::closed() const {

@@ -1,6 +1,6 @@
 // In-process Transport: a pair of endpoints joined by two byte queues.
 //
-// Frames are run through encode_frame()/FrameParser on every hop — the
+// Frames are run through encode_frame()/decode_frame() on every hop — the
 // loopback path exercises the exact bytes a socket would carry, so a
 // deployed run over loopback is the simulator-grade reference for the TCP
 // path (and is what the equivalence tests drive).
@@ -55,7 +55,6 @@ class LoopbackTransport final : public Transport {
 
   std::shared_ptr<Channel> tx_;  ///< frames this endpoint sends
   std::shared_ptr<Channel> rx_;  ///< frames this endpoint receives
-  FrameParser parser_;
 };
 
 }  // namespace adafl::net::transport

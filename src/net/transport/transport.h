@@ -26,7 +26,9 @@ class Transport {
   /// Waits up to `timeout` for the next frame. Returns nullopt on timeout
   /// or when the connection closed — distinguish via closed(). Throws
   /// CheckError if the peer sent a malformed byte stream; callers should
-  /// drop the connection on that.
+  /// drop the connection on that. recv(0) is a poll: it returns a frame
+  /// already received, or nullopt, and never sleeps — servers and relays
+  /// sweep every connection with it on each pass.
   virtual std::optional<Frame> recv(std::chrono::milliseconds timeout) = 0;
 
   virtual bool closed() const = 0;

@@ -124,7 +124,8 @@ struct UdpFecConfig {
 
 /// One-datagram medium: the seam under UdpTransport. send() is
 /// fire-and-forget (false only when the link itself is down); recv()
-/// returns one whole datagram or nullopt on timeout/close.
+/// returns one whole datagram or nullopt on timeout/close; like
+/// Transport::recv, recv(0) is a poll and never sleeps.
 class DatagramLink {
  public:
   virtual ~DatagramLink() = default;

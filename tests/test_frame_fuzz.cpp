@@ -54,7 +54,7 @@ int feed_stream(std::span<const std::uint8_t> bytes, std::mt19937_64& rng) {
     while (off < bytes.size()) {
       const std::size_t chunk =
           std::min<std::size_t>(1 + rng() % 97, bytes.size() - off);
-      parser.feed(bytes.subspan(off, chunk));
+      parser.consume(bytes.subspan(off, chunk));
       off += chunk;
       while (parser.next()) ++frames;
     }
@@ -119,9 +119,9 @@ TEST(FrameFuzz, PoisonedParserStaysSafe) {
   for (int i = 0; i < 500; ++i) {
     FrameParser parser;
     std::vector<std::uint8_t> bad(net::transport::kFrameHeaderBytes, 0xFF);
-    EXPECT_THROW(parser.feed(bad), CheckError);
+    EXPECT_THROW(parser.consume(bad), CheckError);
     try {
-      parser.feed(make_valid_frame_bytes(rng));
+      parser.consume(make_valid_frame_bytes(rng));
       while (parser.next()) {}
     } catch (const CheckError&) {
     }

@@ -167,6 +167,14 @@ TEST(Session, CrashedClientDegradesRoundAndRejoins) {
 
 // --- Quorum-after-deadline with a connected-but-silent peer. -------------
 
+Frame hello_frame(std::uint32_t id) {
+  Frame f;
+  f.type = MsgType::kHello;
+  f.client_id = id;
+  f.payload = encode_hello(kProtocolVersion);
+  return f;
+}
+
 TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
   // One cooperative scripted peer and one peer that connects, receives
   // models, and never answers. With quorum=1 and a short deadline the server
@@ -196,19 +204,17 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
   server.add_transport(std::move(pair0.first));
   server.add_transport(std::move(pair1.first));
 
-  auto hello = [](std::uint32_t id) {
-    Frame f;
-    f.type = MsgType::kHello;
-    f.client_id = id;
-    f.payload = encode_hello(kProtocolVersion);
-    return f;
-  };
+  // Both HELLOs are queued before run() starts, so the server's first
+  // service pass admits both peers and every round's score phase counts the
+  // silent one as live. A HELLO sent from a peer thread could arrive after
+  // peer 0 had scored, and round 1 would close without waiting.
+  ASSERT_TRUE(pair0.second->send(hello_frame(0)));
+  ASSERT_TRUE(pair1.second->send(hello_frame(1)));
 
   // Peer 0: protocol-level cooperative client. No local training — it
   // reports a fixed score and uploads a zero delta, which is enough to
   // drive the server's round machine.
-  std::thread peer0([t = std::move(pair0.second), &hello]() mutable {
-    ASSERT_TRUE(t->send(hello(0)));
+  std::thread peer0([t = std::move(pair0.second)]() mutable {
     std::optional<compress::DgcCompressor> comp;
     std::uint64_t dims = 0;
     for (;;) {
@@ -248,8 +254,7 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
   });
 
   // Peer 1: joins, then goes mute (receives and ignores everything).
-  std::thread peer1([t = std::move(pair1.second), &hello]() mutable {
-    ASSERT_TRUE(t->send(hello(1)));
+  std::thread peer1([t = std::move(pair1.second)]() mutable {
     for (;;) {
       auto f = t->recv(milliseconds(2000));
       if (!f) {
@@ -276,14 +281,6 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
 }
 
 // --- A protocol-wrong UPDATE drops the peer, never the server. -----------
-
-Frame hello_frame(std::uint32_t id) {
-  Frame f;
-  f.type = MsgType::kHello;
-  f.client_id = id;
-  f.payload = encode_hello(kProtocolVersion);
-  return f;
-}
 
 // Runs two rounds with one cooperative scripted peer and one malicious peer
 // whose UPDATE payload is wire-valid but violates the session contract
@@ -316,9 +313,14 @@ void run_bad_update_scenario(
   server.add_transport(std::move(pair0.first));
   server.add_transport(std::move(pair1.first));
 
+  // Both peers join before run(), as in QuorumAfterDeadlineWithSilentPeer:
+  // a HELLO racing the other peer's SCORE would change which rounds the
+  // offender takes part in.
+  EXPECT_TRUE(pair0.second->send(hello_frame(0)));
+  EXPECT_TRUE(pair1.second->send(hello_frame(1)));
+
   // Peer 0: cooperative (scores, uploads a valid zero delta).
   std::thread peer0([t = std::move(pair0.second)]() mutable {
-    EXPECT_TRUE(t->send(hello_frame(0)));
     std::optional<compress::DgcCompressor> comp;
     std::uint64_t dims = 0;
     for (;;) {
@@ -360,7 +362,6 @@ void run_bad_update_scenario(
   // Peer 1: scores honestly, then answers SELECT with the bad message. The
   // server must cut this connection (observed as closed()).
   std::thread peer1([t = std::move(pair1.second), &make_bad]() mutable {
-    EXPECT_TRUE(t->send(hello_frame(1)));
     std::uint64_t dims = 0;
     for (;;) {
       auto f = t->recv(milliseconds(2000));

@@ -102,6 +102,32 @@ TEST(Loopback, CloseDrainsInFlightFramesThenEof) {
   EXPECT_FALSE(a->send(ping_frame(3, 0)));
 }
 
+// recv(0) is a poll (transport.h): it reports exactly the queue state and
+// never waits. Only state is asserted, never elapsed time.
+TEST(Loopback, ZeroTimeoutRecvPollsQueueState) {
+  auto [a, b] = make_loopback_pair();
+  EXPECT_FALSE(b->recv(milliseconds(0)).has_value());
+  EXPECT_FALSE(b->closed());
+
+  EXPECT_TRUE(a->send(ping_frame(1, 0)));
+  const auto got = b->recv(milliseconds(0));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->round, 1u);
+  EXPECT_FALSE(b->recv(milliseconds(0)).has_value());
+
+  // After the peer closes, queued frames still drain through polls, and
+  // only then does closed() turn true.
+  EXPECT_TRUE(a->send(ping_frame(2, 0)));
+  EXPECT_TRUE(a->send(ping_frame(3, 0)));
+  a->close();
+  EXPECT_FALSE(b->closed());
+  EXPECT_EQ(b->recv(milliseconds(0))->round, 2u);
+  EXPECT_FALSE(b->closed());
+  EXPECT_EQ(b->recv(milliseconds(0))->round, 3u);
+  EXPECT_TRUE(b->closed());
+  EXPECT_FALSE(b->recv(milliseconds(0)).has_value());
+}
+
 TEST(Tcp, EphemeralListenerRoundTrip) {
   TcpListener listener(0);
   EXPECT_GT(listener.port(), 0);

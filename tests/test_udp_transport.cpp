@@ -308,6 +308,30 @@ TEST(UdpTransportLoopback, BidirectionalFrames) {
   EXPECT_FALSE(ta.recv(std::chrono::milliseconds(10)).has_value());
 }
 
+// LoopbackDatagramLink::recv(0) is a poll, as on the frame transports:
+// state-only assertions, no elapsed time.
+TEST(UdpTransportLoopback, ZeroTimeoutRecvPollsQueueState) {
+  auto [a, b] = make_datagram_loopback_pair();
+  const std::vector<std::uint8_t> d1 = {1, 2, 3}, d2 = {4}, d3 = {5, 6};
+  EXPECT_FALSE(b->recv(std::chrono::milliseconds(0)).has_value());
+  EXPECT_FALSE(b->closed());
+
+  ASSERT_TRUE(a->send(d1));
+  EXPECT_EQ(b->recv(std::chrono::milliseconds(0)), d1);
+  EXPECT_FALSE(b->recv(std::chrono::milliseconds(0)).has_value());
+
+  // A peer's close shows only once its queued datagrams are drained.
+  ASSERT_TRUE(a->send(d2));
+  ASSERT_TRUE(a->send(d3));
+  a->close();
+  EXPECT_FALSE(b->closed());
+  EXPECT_EQ(b->recv(std::chrono::milliseconds(0)), d2);
+  EXPECT_FALSE(b->closed());
+  EXPECT_EQ(b->recv(std::chrono::milliseconds(0)), d3);
+  EXPECT_TRUE(b->closed());
+  EXPECT_FALSE(b->recv(std::chrono::milliseconds(0)).has_value());
+}
+
 // --- Deterministic datagram chaos ------------------------------------------
 
 // Same plan + same seed => identical drop/deliver decisions, independent of
