@@ -212,11 +212,13 @@ EOF
 done
 
 mkdir -p "$REPO_DIR/bench_results"
-python3 - "$rows" "$REPO_DIR/bench_results/BENCH_udp_fec.json" <<'EOF'
+python3 - "$rows" "$REPO_DIR/bench_results/BENCH_udp_fec.json" \
+    "${FEC_FLAGS[*]}" <<'EOF'
 import json, os, sys
 rows = [json.loads(line) for line in open(sys.argv[1])]
 doc = {
     "hardware_concurrency": os.cpu_count(),
+    "fec_flags": sys.argv[3],
     "note": ("round completion time and goodput vs iid loss rate, "
              "TCP+retransmit-nudge vs UDP+RS(16,8) FEC; weights bitwise "
              "identical across every cell"),

@@ -13,16 +13,25 @@ constexpr GfTables build_tables() {
     x <<= 1;
     if (x & 0x100) x ^= kGfPoly;
   }
-  // Double the antilog table so gf_mul's index log(a) + log(b) (< 510)
-  // never needs `% 255`; the two spare slots stay zero and are never read.
+  // Double the antilog table so an index log(a) + log(b) (< 510) never
+  // needs `% 255`; the two spare slots stay zero and are never read.
   for (int i = 255; i < 510; ++i) t.exp[i] = t.exp[i - 255];
   t.log[0] = 0;  // log(0) is undefined; callers guard, this is belt
   return t;
 }
 
+constexpr GfMulTable build_products(const GfTables& t) {
+  GfMulTable p{};  // row 0 and column 0 stay zero
+  for (int a = 1; a < 256; ++a)
+    for (int b = 1; b < 256; ++b)
+      p[a][b] = t.exp[t.log[a] + t.log[b]];
+  return p;
+}
+
 }  // namespace
 
 constinit const GfTables kGf = build_tables();
+constinit const GfMulTable kGfMul = build_products(build_tables());
 
 std::uint8_t gf_mul_slow(std::uint8_t a, std::uint8_t b) {
   std::uint16_t acc = 0;

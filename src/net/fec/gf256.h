@@ -2,14 +2,17 @@
 //
 // The field is GF(2^8) with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11D) and generator alpha = 2 — the classic
-// CCSDS/DVB construction. Multiplication and division go through log/antilog
+// CCSDS/DVB construction. Division, inverse and powers go through log/antilog
 // tables built once at compile time; the exp table is doubled so
-// exp[log a + log b] never needs a modular reduction.
+// exp[log a + log b] never needs a modular reduction. Multiplication is one
+// branch-free read of the full 256x256 product table (64 KB of constants,
+// built from exp/log at compile time).
 //
 // gf_mul_slow is the table-free shift-and-add reference: tests cross-check
 // every (a, b) pair against it, so a corrupted table can never hide.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "tensor/check.h"
@@ -28,9 +31,14 @@ struct GfTables {
 /// Compile-time-built log/antilog tables.
 extern const GfTables kGf;
 
+/// kGfMul[a][b] = a * b; row kGfMul[c] multiplies any byte by c.
+using GfMulTable = std::array<std::array<std::uint8_t, 256>, 256>;
+
+/// Compile-time-built product table (64 KB).
+extern const GfMulTable kGfMul;
+
 inline std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  return kGf.exp[kGf.log[a] + kGf.log[b]];
+  return kGfMul[a][b];
 }
 
 /// Division a / b. Throws CheckError on b == 0.

@@ -6,17 +6,24 @@
 
 namespace adafl::net::fec {
 
+// Shard s holds frame bytes s, s + k, s + 2k, ...: one strided walk per
+// shard, no per-byte division, and only the tail past the last byte zeroed.
+
 void interleave(std::span<const std::uint8_t> src, int k,
                 std::size_t shard_len, std::uint8_t* const* shards) {
   ADAFL_CHECK_MSG(k >= 1, "interleave: k < 1");
   ADAFL_CHECK_MSG(static_cast<std::size_t>(k) * shard_len >= src.size(),
                   "interleave: " << src.size() << " bytes exceed " << k
                                  << " shards of " << shard_len);
-  for (int s = 0; s < k; ++s)
-    std::memset(shards[s], 0, shard_len);
-  for (std::size_t b = 0; b < src.size(); ++b)
-    shards[b % static_cast<std::size_t>(k)][b / static_cast<std::size_t>(k)] =
-        src[b];
+  const std::size_t stride = static_cast<std::size_t>(k);
+  for (int s = 0; s < k; ++s) {
+    std::uint8_t* dst = shards[s];
+    std::size_t t = 0;
+    for (std::size_t b = static_cast<std::size_t>(s); b < src.size();
+         b += stride)
+      dst[t++] = src[b];
+    std::memset(dst + t, 0, shard_len - t);
+  }
 }
 
 void deinterleave(const std::uint8_t* const* shards, int k,
@@ -25,9 +32,14 @@ void deinterleave(const std::uint8_t* const* shards, int k,
   ADAFL_CHECK_MSG(static_cast<std::size_t>(k) * shard_len >= dst.size(),
                   "deinterleave: " << dst.size() << " bytes exceed " << k
                                    << " shards of " << shard_len);
-  for (std::size_t b = 0; b < dst.size(); ++b)
-    dst[b] =
-        shards[b % static_cast<std::size_t>(k)][b / static_cast<std::size_t>(k)];
+  const std::size_t stride = static_cast<std::size_t>(k);
+  for (int s = 0; s < k; ++s) {
+    const std::uint8_t* src = shards[s];
+    std::size_t t = 0;
+    for (std::size_t b = static_cast<std::size_t>(s); b < dst.size();
+         b += stride)
+      dst[b] = src[t++];
+  }
 }
 
 }  // namespace adafl::net::fec

@@ -1,6 +1,8 @@
 #include "net/fec/rs.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "net/fec/gf256.h"
 #include "tensor/check.h"
@@ -42,6 +44,116 @@ int poly_degree(const Poly& p) {
   return 0;
 }
 
+/// One step of the systematic encoder's remainder register (size r): feeds
+/// data symbol `sym` by shifting the register left and folding
+/// (sym + reg[0]) * (g - x^r) back in. `g_tail` holds g's r non-leading
+/// coefficients, descending.
+void feed_register(std::uint8_t* reg, int r, const std::uint8_t* g_tail,
+                   std::uint8_t sym) {
+  const std::uint8_t coef = sym ^ reg[0];
+  // Shift the remainder register left one symbol...
+  for (int j = 0; j + 1 < r; ++j) reg[j] = reg[j + 1];
+  reg[r - 1] = 0;
+  // ...and fold coef * (g - x^r) back in.
+  if (coef != 0)
+    for (int j = 0; j < r; ++j) reg[j] ^= gf_mul(g_tail[j], coef);
+}
+
+/// dst[j] = XOR_i coef[j * count + i] * src[i] over len bytes, j < outs.
+///
+/// Eight outputs at a time share one table per source: entry x of source
+/// i's table packs coef[j][i] * x for those outputs, byte j - j0 of the
+/// word. Multiplying by a constant is linear over GF(2), so each table
+/// is 8 products plus 255 XORs to fill. Then one lookup per source byte
+/// yields that byte's term in all eight outputs, and each output byte is
+/// the XOR of `count` lookups.
+void combine(std::uint8_t* const* dst, int outs,
+             const std::uint8_t* const* src, int count,
+             const std::uint8_t* coef, std::size_t len) {
+  const std::size_t kk = static_cast<std::size_t>(count);
+  const auto table = std::make_unique_for_overwrite<std::uint64_t[]>(kk * 256);
+  for (int j0 = 0; j0 < outs; j0 += 8) {
+    const int w = std::min(8, outs - j0);
+    for (std::size_t i = 0; i < kk; ++i) {
+      std::uint64_t* ti = table.get() + i * 256;
+      ti[0] = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        const auto unit = static_cast<std::uint8_t>(1u << bit);
+        std::uint64_t base = 0;
+        for (int j = 0; j < w; ++j) {
+          const std::size_t row = static_cast<std::size_t>(j0 + j);
+          base |= std::uint64_t{gf_mul(coef[row * kk + i], unit)} << (8 * j);
+        }
+        const int half = 1 << bit;
+        for (int x = 0; x < half; ++x) ti[half + x] = base ^ ti[x];
+      }
+    }
+    // Eight positions per step: each source word loads once, acc[b]
+    // collects position t + b, and output j's word is byte j of each
+    // acc[b]. Words go in and out through the same shifts, so byte order
+    // is moot.
+    std::size_t t = 0;
+    for (; t + 8 <= len; t += 8) {
+      std::uint64_t acc[8] = {};
+      for (std::size_t i = 0; i < kk; ++i) {
+        const std::uint64_t* ti = table.get() + i * 256;
+        std::uint64_t x;
+        std::memcpy(&x, src[i] + t, 8);
+        for (int b = 0; b < 8; ++b) acc[b] ^= ti[(x >> (8 * b)) & 0xFF];
+      }
+      for (int j = 0; j < w; ++j) {
+        std::uint64_t word = 0;
+        for (int b = 0; b < 8; ++b)
+          word |= ((acc[b] >> (8 * j)) & 0xFF) << (8 * b);
+        std::memcpy(dst[j0 + j] + t, &word, 8);
+      }
+    }
+    for (; t < len; ++t) {
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < kk; ++i)
+        acc ^= table[i * 256 + src[i][t]];
+      for (int j = 0; j < w; ++j)
+        dst[j0 + j][t] = static_cast<std::uint8_t>(acc >> (8 * j));
+    }
+  }
+}
+
+/// Gauss-Jordan inverse of the k x k row-major matrix `m` (destroyed) into
+/// `inv`. Returns false when m is singular.
+bool invert(std::vector<std::uint8_t>& m, std::vector<std::uint8_t>& inv,
+            int k) {
+  const auto at = [k](std::vector<std::uint8_t>& a, int row, int col)
+      -> std::uint8_t& {
+    return a[static_cast<std::size_t>(row * k + col)];
+  };
+  inv.assign(static_cast<std::size_t>(k * k), 0);
+  for (int i = 0; i < k; ++i) at(inv, i, i) = 1;
+  for (int col = 0; col < k; ++col) {
+    int piv = col;
+    while (piv < k && at(m, piv, col) == 0) ++piv;
+    if (piv == k) return false;
+    if (piv != col)
+      for (int c = 0; c < k; ++c) {
+        std::swap(at(m, piv, c), at(m, col, c));
+        std::swap(at(inv, piv, c), at(inv, col, c));
+      }
+    const std::uint8_t scale = gf_inv(at(m, col, col));
+    for (int c = 0; c < k; ++c) {
+      at(m, col, c) = gf_mul(at(m, col, c), scale);
+      at(inv, col, c) = gf_mul(at(inv, col, c), scale);
+    }
+    for (int row = 0; row < k; ++row) {
+      const std::uint8_t f = at(m, row, col);
+      if (row == col || f == 0) continue;
+      for (int c = 0; c < k; ++c) {
+        at(m, row, c) ^= gf_mul(f, at(m, col, c));
+        at(inv, row, c) ^= gf_mul(f, at(inv, col, c));
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 RsCode::RsCode(int n, int k) : n_(n), k_(k) {
@@ -58,6 +170,20 @@ RsCode::RsCode(int n, int k) : n_(n), k_(k) {
     }
     gen_ = std::move(next);
   }
+  // Encoding is linear, so parity j of any data vector is
+  // XOR_i coef_[j][i] * d_i with column i the parity of unit vector e_i.
+  // encode(e_i) leaves the register at its state after feeding 1 and then
+  // k-1-i zeros, so one register run yields every column, last first.
+  const int r = n_ - k_;
+  coef_.assign(static_cast<std::size_t>(r * k_), 0);
+  if (r == 0) return;
+  std::vector<std::uint8_t> reg(static_cast<std::size_t>(r), 0);
+  for (int i = k_ - 1; i >= 0; --i) {
+    feed_register(reg.data(), r, gen_.data() + 1, i == k_ - 1 ? 1 : 0);
+    for (int j = 0; j < r; ++j)
+      coef_[static_cast<std::size_t>(j * k_ + i)] =
+          reg[static_cast<std::size_t>(j)];
+  }
 }
 
 void RsCode::encode(std::span<const std::uint8_t> data,
@@ -69,16 +195,9 @@ void RsCode::encode(std::span<const std::uint8_t> data,
   // Synthetic division of m(x) * x^r by g(x); the remainder is the parity.
   std::fill(parity.begin(), parity.end(), std::uint8_t{0});
   if (r == 0) return;
-  for (int i = 0; i < k_; ++i) {
-    const std::uint8_t coef = data[static_cast<std::size_t>(i)] ^ parity[0];
-    // Shift the remainder register left one symbol...
-    for (int j = 0; j + 1 < r; ++j) parity[j] = parity[j + 1];
-    parity[r - 1] = 0;
-    // ...and fold coef * (g - x^r) back in.
-    if (coef != 0)
-      for (int j = 0; j < r; ++j)
-        parity[j] ^= gf_mul(gen_[static_cast<std::size_t>(j + 1)], coef);
-  }
+  for (int i = 0; i < k_; ++i)
+    feed_register(parity.data(), r, gen_.data() + 1,
+                  data[static_cast<std::size_t>(i)]);
 }
 
 bool RsCode::decode(std::span<std::uint8_t> codeword,
@@ -205,28 +324,13 @@ bool RsCode::decode(std::span<std::uint8_t> codeword,
 void RsCode::encode_shards(const std::uint8_t* const* data,
                            std::uint8_t* const* parity,
                            std::size_t shard_len) const {
-  const int r = n_ - k_;
-  std::uint8_t cw_data[kRsMaxSymbols];
-  std::uint8_t cw_par[kRsMaxSymbols];
-  for (std::size_t t = 0; t < shard_len; ++t) {
-    for (int i = 0; i < k_; ++i) cw_data[i] = data[i][t];
-    encode({cw_data, static_cast<std::size_t>(k_)},
-           {cw_par, static_cast<std::size_t>(r)});
-    for (int j = 0; j < r; ++j) parity[j][t] = cw_par[j];
-  }
+  combine(parity, n_ - k_, data, k_, coef_.data(), shard_len);
 }
 
-bool RsCode::reconstruct_shards(std::uint8_t* const* shards,
-                                const std::vector<bool>& present,
-                                std::size_t shard_len) const {
-  ADAFL_CHECK_MSG(static_cast<int>(present.size()) == n_,
-                  "reconstruct_shards: present bitmap size != n");
-  std::vector<int> erasures;
-  for (int i = 0; i < n_; ++i)
-    if (!present[static_cast<std::size_t>(i)]) erasures.push_back(i);
-  if (static_cast<int>(erasures.size()) > parity()) return false;
-  if (erasures.empty()) return true;
-
+bool RsCode::reconstruct_columns(std::uint8_t* const* shards,
+                                 const std::vector<bool>& present,
+                                 std::span<const int> erasures,
+                                 std::size_t shard_len) const {
   // Decode column-by-column into scratch; only commit if every column
   // repairs, so a failed generation never leaks half-written shards.
   std::vector<std::uint8_t> repaired(erasures.size() * shard_len);
@@ -241,6 +345,75 @@ bool RsCode::reconstruct_shards(std::uint8_t* const* shards,
   for (std::size_t j = 0; j < erasures.size(); ++j)
     std::copy_n(repaired.data() + j * shard_len, shard_len,
                 shards[erasures[j]]);
+  return true;
+}
+
+bool RsCode::reconstruct_shards(std::uint8_t* const* shards,
+                                const std::vector<bool>& present,
+                                std::size_t shard_len) const {
+  ADAFL_CHECK_MSG(static_cast<int>(present.size()) == n_,
+                  "reconstruct_shards: present bitmap size != n");
+  // The first k present shards are the basis; later present ones are spare.
+  std::vector<int> missing, basis, spare;
+  for (int i = 0; i < n_; ++i) {
+    if (!present[static_cast<std::size_t>(i)])
+      missing.push_back(i);
+    else if (static_cast<int>(basis.size()) < k_)
+      basis.push_back(i);
+    else
+      spare.push_back(i);
+  }
+  if (static_cast<int>(missing.size()) > parity()) return false;
+  if (missing.empty() || shard_len == 0) return true;
+
+  // Generator row of shard x: unit vector e_x for data, coef_ row for
+  // parity. Every shard is (row of x) . data and data = M^-1 . basis, M the
+  // basis shards' rows, so shard x = ((row of x) . M^-1) . basis.
+  const std::size_t kk = static_cast<std::size_t>(k_);
+  const auto gen_row = [&](int x, std::uint8_t* row) {
+    std::fill_n(row, kk, std::uint8_t{0});
+    if (x < k_)
+      row[x] = 1;
+    else
+      std::copy_n(coef_.data() + static_cast<std::size_t>(x - k_) * kk, kk,
+                  row);
+  };
+  std::vector<std::uint8_t> m(kk * kk), inv;
+  for (std::size_t b = 0; b < kk; ++b) gen_row(basis[b], m.data() + b * kk);
+  // An MDS code makes every k x k submatrix invertible; the per-column
+  // decoder is the backstop should that ever not hold.
+  if (!invert(m, inv, k_))
+    return reconstruct_columns(shards, present, missing, shard_len);
+
+  // Rebuild every non-basis shard, missing and spare alike, into scratch.
+  std::vector<int> rebuilt = missing;
+  rebuilt.insert(rebuilt.end(), spare.begin(), spare.end());
+  const std::size_t outs = rebuilt.size();
+  std::vector<std::uint8_t> g(kk), rows(outs * kk), out(outs * shard_len);
+  std::vector<std::uint8_t*> dst(outs);
+  for (std::size_t o = 0; o < outs; ++o) {
+    gen_row(rebuilt[o], g.data());
+    for (std::size_t c = 0; c < kk; ++c) {
+      std::uint8_t acc = 0;
+      for (std::size_t i = 0; i < kk; ++i)
+        acc ^= gf_mul(g[i], inv[i * kk + c]);
+      rows[o * kk + c] = acc;
+    }
+    dst[o] = out.data() + o * shard_len;
+  }
+  std::vector<const std::uint8_t*> src(kk);
+  for (std::size_t b = 0; b < kk; ++b) src[b] = shards[basis[b]];
+  combine(dst.data(), static_cast<int>(outs), src.data(), k_, rows.data(),
+          shard_len);
+
+  // Spare shards must equal what the basis predicts. Any mismatch means a
+  // present shard is corrupt; the per-column errata decoder then corrects
+  // or refuses exactly as decode() does.
+  for (std::size_t o = missing.size(); o < outs; ++o)
+    if (std::memcmp(dst[o], shards[rebuilt[o]], shard_len) != 0)
+      return reconstruct_columns(shards, present, missing, shard_len);
+  for (std::size_t o = 0; o < missing.size(); ++o)
+    std::memcpy(shards[rebuilt[o]], dst[o], shard_len);
   return true;
 }
 

@@ -50,27 +50,47 @@ class RsCode {
   bool decode(std::span<std::uint8_t> codeword,
               std::span<const int> erasures) const;
 
-  // --- Shard-level convenience (the FEC-generation shape). ---------------
+  // --- Shard-level coding (the FEC-generation shape). --------------------
   // A generation is k equal-length data shards plus r parity shards; byte
   // column t across the shards forms one RS codeword, so losing a shard is
-  // one erasure in every column's codeword.
+  // one erasure in every column's codeword. Both calls work shard-wide
+  // rather than column by column: the code is linear, so every shard is a
+  // GF(256) combination of k others, computed with one table lookup per
+  // source byte for up to eight output shards at once. The bytes equal the
+  // per-column encode()/decode() on every input.
 
-  /// data[i] / parity[j] each point at shard_len bytes.
+  /// data[i] / parity[j] each point at shard_len bytes. Parity j is
+  /// XOR_i C[j][i] * data[i], C being the parities of the unit vectors.
   void encode_shards(const std::uint8_t* const* data,
                      std::uint8_t* const* parity, std::size_t shard_len) const;
 
   /// shards[0..n): data then parity; present[i] says shard i arrived.
-  /// Reconstructs every missing shard in place (missing entries must point
-  /// at writable shard_len-byte buffers). Returns false — touching nothing —
-  /// when more than r shards are missing or any column fails to decode.
+  /// Reconstructs every missing shard, parity included, in place (missing
+  /// entries must point at writable shard_len-byte buffers) from the first
+  /// k present shards, inverting their generator rows once. Spare present
+  /// shards are recomputed and compared; on any mismatch the generation goes
+  /// through the per-column errata decoder instead, which may correct the
+  /// corrupt shard's bytes exactly as decode() does. Returns false —
+  /// touching nothing — when more than r shards are missing or any column
+  /// fails to decode.
   bool reconstruct_shards(std::uint8_t* const* shards,
                           const std::vector<bool>& present,
                           std::size_t shard_len) const;
 
  private:
+  /// The per-column errata decoder over a whole generation: the fallback
+  /// when present shards disagree. Writes nothing unless every column
+  /// decodes.
+  bool reconstruct_columns(std::uint8_t* const* shards,
+                           const std::vector<bool>& present,
+                           std::span<const int> erasures,
+                           std::size_t shard_len) const;
+
   int n_;
   int k_;
   std::vector<std::uint8_t> gen_;  ///< generator poly, descending, gen_[0]=1
+  /// r x k row-major: parity j = XOR_i coef_[j * k + i] * data_i.
+  std::vector<std::uint8_t> coef_;
 };
 
 }  // namespace adafl::net::fec

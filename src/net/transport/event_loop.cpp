@@ -187,7 +187,10 @@ void EventLoop::run() {
       }
       if (tag >= kTagWatched) {
         const std::size_t idx = static_cast<std::size_t>(tag - kTagWatched);
-        if (idx < watched_.size()) watched_[idx].second();
+        if (idx < watched_.size()) {
+          watched_[idx].second();
+          cycle_activity_ = true;  // e.g. datagrams now queued for the session
+        }
         continue;
       }
       auto it = conns_.find(tag);

@@ -92,7 +92,9 @@ class EventLoop {
   void adopt_listener(int listen_fd);
 
   /// Registers an auxiliary readable fd (e.g. the UDP mux socket); `cb`
-  /// runs on the loop thread whenever it is readable. Call before start().
+  /// runs on the loop thread whenever it is readable. Each run counts as
+  /// activity, so a wait_activity() sleeping on the session thread wakes to
+  /// service whatever the callback handed over. Call before start().
   void watch_fd(int fd, std::function<void()> cb);
 
   void start();
@@ -106,8 +108,8 @@ class EventLoop {
                          std::size_t max);
   /// Drains every shard (in shard order) into `out`.
   std::size_t poll_all(std::vector<InFrame>& out);
-  /// Blocks until any activity (frame, accept, close) since the last poll,
-  /// or timeout. Returns true if there was activity.
+  /// Blocks until any activity (frame, accept, close, a watch_fd callback)
+  /// since the last poll, or timeout. Returns true if there was activity.
   bool wait_activity(std::chrono::milliseconds timeout);
 
   /// Queues `bytes` for transmission on `conn`. The buffer is shared, not

@@ -5,7 +5,10 @@
 // datagrams are grouped into FEC GENERATIONS of k data shards, and every
 // generation ships r extra parity shards (RS(k+r, k) over GF(256), one
 // codeword per byte column, frame bytes block-interleaved across the data
-// shards). The receiver repairs up to r lost datagrams per generation with
+// shards). Coding runs shard-wide (fec::RsCode::encode_shards /
+// reconstruct_shards): each parity or repaired shard is one GF(256)
+// combination of k whole shards, byte-identical to coding every column on
+// its own. The receiver repairs up to r lost datagrams per generation with
 // zero round trips; only a generation that loses more than r datagrams
 // leaves the frame incomplete, and then the session layer's existing
 // retransmit nudge re-sends the whole frame — exactly the fallback it

@@ -6,7 +6,10 @@
 // process), and the hot path does zero tensor heap allocations.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -283,6 +286,29 @@ TEST(EventLoop, WaitActivityTimesOutQuietAndWakesOnTraffic) {
   ASSERT_TRUE(c);
   EXPECT_TRUE(loop.wait_activity(2000ms));  // the accept is activity
   loop.stop();
+}
+
+// A watched fd's callback hands work to the session outside the frame
+// queues (flserver's UDP mux drain), so running it must count as activity:
+// otherwise the session sleeps out its idle poll with datagrams waiting.
+TEST(EventLoop, WatchedFdReadableWakesWaitActivity) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::atomic<int> drained{0};
+  EventLoop loop(EventLoopConfig{});
+  loop.watch_fd(fds[0], [&] {
+    char buf[16];
+    const ssize_t got = ::read(fds[0], buf, sizeof(buf));
+    if (got > 0) drained += static_cast<int>(got);
+  });
+  loop.start();
+
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  EXPECT_TRUE(loop.wait_activity(2000ms));
+  EXPECT_EQ(drained.load(), 1);
+  loop.stop();
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace

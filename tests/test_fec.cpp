@@ -34,6 +34,18 @@ TEST(Gf256, TablesMatchSlowReference) {
     }
 }
 
+// The product table the shard kernels stream through, read directly (not
+// via gf_mul), against the table-free reference for all 65,536 pairs.
+TEST(Gf256, ProductTableMatchesSlowReference) {
+  for (int a = 0; a < 256; ++a)
+    for (int b = 0; b < 256; ++b)
+      ASSERT_EQ(kGfMul[static_cast<std::size_t>(a)]
+                      [static_cast<std::size_t>(b)],
+                gf_mul_slow(static_cast<std::uint8_t>(a),
+                            static_cast<std::uint8_t>(b)))
+          << "kGfMul[" << a << "][" << b << "]";
+}
+
 TEST(Gf256, FieldAxioms) {
   std::mt19937_64 rng(kSeed);
   for (int i = 0; i < 20000; ++i) {
@@ -254,6 +266,187 @@ TEST(ReedSolomon, ShardReconstructionBeyondBudgetFails) {
   EXPECT_FALSE(rs.reconstruct_shards(all.data(), present, s));
 }
 
+// --- Shard-wide coding equals the per-column reference --------------------
+
+using Shards = std::vector<std::vector<std::uint8_t>>;
+
+std::vector<std::uint8_t*> ptrs(Shards& shards) {
+  std::vector<std::uint8_t*> p;
+  for (auto& sh : shards) p.push_back(sh.data());
+  return p;
+}
+
+/// k random data shards of `len` bytes plus r parity shards from
+/// encode_shards.
+Shards encoded_generation(const RsCode& rs, std::size_t len,
+                          std::mt19937_64& rng) {
+  Shards shards(static_cast<std::size_t>(rs.n()),
+                std::vector<std::uint8_t>(len));
+  for (int i = 0; i < rs.k(); ++i)
+    for (auto& b : shards[static_cast<std::size_t>(i)])
+      b = static_cast<std::uint8_t>(rng());
+  auto p = ptrs(shards);
+  rs.encode_shards(p.data(), p.data() + rs.k(), len);
+  return shards;
+}
+
+/// What reconstruct_shards did before it went shard-wide: decode() on every
+/// byte column with the missing shards as erasures. Returns false (shards
+/// untouched) if any column fails; otherwise fills the missing shards.
+bool reconstruct_by_columns(const RsCode& rs, Shards& shards,
+                            const std::vector<bool>& present) {
+  std::vector<int> erasures;
+  for (int i = 0; i < rs.n(); ++i)
+    if (!present[static_cast<std::size_t>(i)]) erasures.push_back(i);
+  Shards out = shards;
+  std::vector<std::uint8_t> cw(static_cast<std::size_t>(rs.n()));
+  for (std::size_t t = 0; t < shards[0].size(); ++t) {
+    for (int i = 0; i < rs.n(); ++i)
+      cw[static_cast<std::size_t>(i)] =
+          present[static_cast<std::size_t>(i)]
+              ? shards[static_cast<std::size_t>(i)][t]
+              : 0;
+    if (!rs.decode(cw, erasures)) return false;
+    for (int e : erasures)
+      out[static_cast<std::size_t>(e)][t] = cw[static_cast<std::size_t>(e)];
+  }
+  shards = std::move(out);
+  return true;
+}
+
+/// Marks `missing` absent and pre-fills them with 0xEE, so a shard the
+/// reconstruction forgot to write shows.
+std::vector<bool> erase_shards(Shards& shards,
+                               const std::vector<int>& missing) {
+  std::vector<bool> present(shards.size(), true);
+  for (int m : missing) {
+    present[static_cast<std::size_t>(m)] = false;
+    std::fill(shards[static_cast<std::size_t>(m)].begin(),
+              shards[static_cast<std::size_t>(m)].end(), 0xEE);
+  }
+  return present;
+}
+
+// Parity shard j from encode_shards equals parity symbol j of encode() on
+// every byte column, for every k <= 16 and r <= 8 the transport can ship.
+TEST(ReedSolomon, EncodeShardsMatchesPerCodewordEncode) {
+  std::mt19937_64 rng(kSeed ^ 8);
+  for (int k = 1; k <= 16; ++k)
+    for (int r = 0; r <= 8; ++r) {
+      const RsCode rs(k + r, k);
+      for (std::size_t len : {1, 2, 7, 97, 1200}) {
+        const Shards shards = encoded_generation(rs, len, rng);
+        std::vector<std::uint8_t> data(static_cast<std::size_t>(k));
+        std::vector<std::uint8_t> parity(static_cast<std::size_t>(r));
+        for (std::size_t t = 0; t < len; ++t) {
+          for (int i = 0; i < k; ++i)
+            data[static_cast<std::size_t>(i)] =
+                shards[static_cast<std::size_t>(i)][t];
+          rs.encode(data, parity);
+          for (int j = 0; j < r; ++j)
+            ASSERT_EQ(shards[static_cast<std::size_t>(k + j)][t],
+                      parity[static_cast<std::size_t>(j)])
+                << "k=" << k << " r=" << r << " len=" << len << " t=" << t
+                << " j=" << j;
+        }
+      }
+    }
+}
+
+// All C(20, 4) = 4,845 ways to lose r shards of the transport's default
+// RS(20, 16): every missing shard, parity included, comes back exactly as
+// the per-column decoder rebuilds it (and so equal to what was sent).
+TEST(ReedSolomon, ReconstructShardsMatchesColumnDecodeOnEveryKPresentPattern) {
+  std::mt19937_64 rng(kSeed ^ 9);
+  const RsCode rs(20, 16);
+  const std::size_t len = 13;
+  const Shards sent = encoded_generation(rs, len, rng);
+  int patterns = 0;
+  for (int a = 0; a < 20; ++a)
+    for (int b = a + 1; b < 20; ++b)
+      for (int c = b + 1; c < 20; ++c)
+        for (int d = c + 1; d < 20; ++d) {
+          Shards got = sent;
+          const std::vector<bool> present = erase_shards(got, {a, b, c, d});
+          Shards want = got;
+          ASSERT_TRUE(reconstruct_by_columns(rs, want, present));
+          auto p = ptrs(got);
+          ASSERT_TRUE(rs.reconstruct_shards(p.data(), present, len));
+          ASSERT_EQ(got, want) << "lost " << a << "," << b << "," << c << ","
+                               << d;
+          ASSERT_EQ(got, sent);
+          ++patterns;
+        }
+  EXPECT_EQ(patterns, 4845);
+}
+
+// Fewer than r losses leave spare present shards, which reconstruct_shards
+// recomputes and checks; intact spares agree and the repair matches the
+// per-column decoder.
+TEST(ReedSolomon, ReconstructShardsWithSparePresentShardsMatchesColumnDecode) {
+  std::mt19937_64 rng(kSeed ^ 10);
+  // {30, 10} rebuilds 20 shards: three passes of the 8-output kernel.
+  const int shapes[][2] = {{20, 16}, {12, 8}, {16, 8},
+                           {6, 4},   {9, 1},  {30, 10}};
+  for (const auto& shape : shapes) {
+    const RsCode rs(shape[0], shape[1]);
+    for (int e = 1; e < rs.parity(); ++e)
+      for (int trial = 0; trial < 20; ++trial) {
+        const std::size_t len = 1 + rng() % 64;
+        const Shards sent = encoded_generation(rs, len, rng);
+        std::vector<int> idx(static_cast<std::size_t>(rs.n()));
+        for (int i = 0; i < rs.n(); ++i) idx[static_cast<std::size_t>(i)] = i;
+        std::shuffle(idx.begin(), idx.end(), rng);
+        idx.resize(static_cast<std::size_t>(e));
+        Shards got = sent;
+        const std::vector<bool> present = erase_shards(got, idx);
+        Shards want = got;
+        ASSERT_TRUE(reconstruct_by_columns(rs, want, present));
+        auto p = ptrs(got);
+        ASSERT_TRUE(rs.reconstruct_shards(p.data(), present, len));
+        ASSERT_EQ(got, want) << "n=" << rs.n() << " k=" << rs.k()
+                             << " e=" << e;
+        ASSERT_EQ(got, sent);
+      }
+  }
+}
+
+// A corrupted present shard makes a spare disagree with the basis, and the
+// generation goes through the per-column errata decoder: it corrects the
+// damage when e + 2v <= r and refuses otherwise. Either way the result
+// equals the per-column reference, and a refusal writes nothing.
+TEST(ReedSolomon, CorruptPresentShardFallsBackToErrataDecoder) {
+  std::mt19937_64 rng(kSeed ^ 11);
+  const RsCode rs(20, 16);
+  const std::size_t len = 31;
+  int repaired = 0, refused = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Shards sent = encoded_generation(rs, len, rng);
+    const int e = 1 + static_cast<int>(rng() % 3);  // leaves 1..3 spares
+    std::vector<int> idx(20);
+    for (int i = 0; i < 20; ++i) idx[static_cast<std::size_t>(i)] = i;
+    std::shuffle(idx.begin(), idx.end(), rng);
+    Shards got = sent;
+    const std::vector<bool> present =
+        erase_shards(got, {idx.begin(), idx.begin() + e});
+    // Corrupt one byte of a present shard, basis or spare alike.
+    const int victim = idx[static_cast<std::size_t>(e)];
+    got[static_cast<std::size_t>(victim)][rng() % len] ^=
+        static_cast<std::uint8_t>(1 + rng() % 255);
+    Shards want = got;
+    const bool want_ok = reconstruct_by_columns(rs, want, present);
+    const Shards before = got;
+    auto p = ptrs(got);
+    ASSERT_EQ(rs.reconstruct_shards(p.data(), present, len), want_ok)
+        << "trial " << trial << " e=" << e;
+    ASSERT_EQ(got, want_ok ? want : before) << "trial " << trial;
+    (want_ok ? repaired : refused) += 1;
+  }
+  // e = 1 (1 + 2 <= 4) always corrects; e = 3 never can.
+  EXPECT_GT(repaired, 0);
+  EXPECT_GT(refused, 0);
+}
+
 TEST(ReedSolomon, RejectsInvalidShapes) {
   EXPECT_THROW(RsCode(256, 16), CheckError);  // n > 255
   EXPECT_THROW(RsCode(4, 5), CheckError);     // k > n
@@ -283,6 +476,32 @@ TEST(Interleave, RoundTripAllRemainders) {
       ASSERT_EQ(dst, src) << "k=" << k << " len=" << len;
     }
   }
+}
+
+// The strided interleaver equals the b % k, b / k definition for every k
+// the transport uses and every length up to k * s, tails zeroed: shards
+// start out 0xEE, so a tail the interleaver forgot to clear shows.
+TEST(Interleave, MatchesDivisionReferenceAtEveryLength) {
+  std::mt19937_64 rng(kSeed ^ 12);
+  for (int k = 1; k <= 16; ++k)
+    for (std::size_t s : {1, 3, 8}) {
+      const std::size_t kk = static_cast<std::size_t>(k);
+      for (std::size_t len = 0; len <= kk * s; ++len) {
+        std::vector<std::uint8_t> src(len);
+        for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+        Shards want(kk, std::vector<std::uint8_t>(s, 0));
+        for (std::size_t b = 0; b < len; ++b) want[b % kk][b / kk] = src[b];
+        Shards got(kk, std::vector<std::uint8_t>(s, 0xEE));
+        auto p = ptrs(got);
+        interleave(src, k, s, p.data());
+        ASSERT_EQ(got, want) << "k=" << k << " s=" << s << " len=" << len;
+
+        std::vector<std::uint8_t> dst(len, 0xEE);
+        std::vector<const std::uint8_t*> cp(p.begin(), p.end());
+        deinterleave(cp.data(), k, s, dst);
+        ASSERT_EQ(dst, src) << "k=" << k << " s=" << s << " len=" << len;
+      }
+    }
 }
 
 // Byte b of the source lands in shard b%k at offset b/k — adjacent bytes in
