@@ -4,8 +4,14 @@
 // Writers append to a std::vector<std::uint8_t>; Reader is a bounds-checked
 // cursor that throws CheckError on any attempt to read past the end, so
 // malformed network input can never over-read a buffer.
+//
+// Float arrays move in bulk (put_f32s / Reader::f32s): on a little-endian
+// host the in-memory floats already are the wire bytes, so each is one
+// memcpy; other hosts take the per-element path. Both write and read the
+// same bytes, bit for bit (NaN payloads included).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -42,6 +48,17 @@ inline void put_f32(std::vector<std::uint8_t>& out, float f) {
   std::uint32_t v = 0;
   std::memcpy(&v, &f, 4);
   put_u32(out, v);
+}
+
+/// Appends `v` as consecutive little-endian f32s; byte for byte what a
+/// put_f32() loop writes.
+inline void put_f32s(std::vector<std::uint8_t>& out, std::span<const float> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    out.insert(out.end(), p, p + v.size() * 4);
+  } else {
+    for (float f : v) put_f32(out, f);
+  }
 }
 
 inline void put_f64(std::vector<std::uint8_t>& out, double d) {
@@ -96,6 +113,20 @@ class Reader {
     float f = 0.0f;
     std::memcpy(&f, &v, 4);
     return f;
+  }
+
+  /// Fills `out` with the next out.size() f32s; throws before copying
+  /// anything if fewer than out.size() * 4 bytes remain.
+  void f32s(std::span<float> out) {
+    ADAFL_CHECK_MSG(out.size() <= remaining() / 4,
+                    "bytes: truncated read of " << out.size() << " f32s");
+    if constexpr (std::endian::native == std::endian::little) {
+      if (out.empty()) return;
+      std::memcpy(out.data(), b_.data() + off_, out.size() * 4);
+      off_ += out.size() * 4;
+    } else {
+      for (float& f : out) f = f32();
+    }
   }
 
   double f64() {

@@ -99,7 +99,7 @@ void serialize_into(const EncodedGradient& e, std::vector<std::uint8_t>& out) {
   switch (e.kind) {
     case CodecKind::kIdentity:
       ADAFL_CHECK(static_cast<std::int64_t>(e.values.size()) == e.dense_size);
-      for (float v : e.values) bytes::put_f32(out, v);
+      bytes::put_f32s(out, e.values);
       break;
     case CodecKind::kTopK:
       ADAFL_CHECK(e.indices.size() == e.values.size());
@@ -167,7 +167,7 @@ void deserialize_into(std::span<const std::uint8_t> bytes_in,
           r.remaining() == static_cast<std::size_t>(e.dense_size) * 4,
           "wire: identity payload size mismatch");
       e.values.resize(static_cast<std::size_t>(e.dense_size));
-      for (auto& v : e.values) v = r.f32();
+      r.f32s(e.values);
       break;
     }
     case CodecKind::kTopK: {

@@ -21,6 +21,15 @@ namespace {
 constexpr char kMagic[4] = {'A', 'D', 'F', 'L'};
 
 using net::transport::crc32;
+using net::transport::crc32_combine;
+using net::transport::crc32_update;
+
+/// Encoded size of one put_rng() record: four u64 words, the cached
+/// normal (f64) and its flag (u8).
+constexpr std::size_t kRngBytes = 4 * 8 + 8 + 1;
+/// Smallest encoded "clients" entry: rng, cursor, an empty index list and
+/// three empty f32 vectors (their u64 lengths only).
+constexpr std::size_t kMinClientBytes = kRngBytes + 8 + 8 + 3 * 8;
 
 /// The canonical section set, in file order. A v2 checkpoint has exactly
 /// these sections; anything else is rejected (wrong count, unknown or
@@ -37,7 +46,7 @@ constexpr std::size_t kSectionCount =
 
 void put_f32_vec(std::vector<std::uint8_t>& out, const std::vector<float>& v) {
   bytes::put_u64(out, v.size());
-  for (float x : v) bytes::put_f32(out, x);
+  bytes::put_f32s(out, v);
 }
 
 std::vector<float> get_f32_vec(bytes::Reader& r, const char* what) {
@@ -47,7 +56,7 @@ std::vector<float> get_f32_vec(bytes::Reader& r, const char* what) {
                   "checkpoint: " << what << " length " << n
                                  << " exceeds section");
   std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = r.f32();
+  r.f32s(v);
   return v;
 }
 
@@ -88,17 +97,34 @@ std::string checkpoint_path(const std::string& dir) {
 
 std::vector<std::uint8_t> encode_checkpoint_file_bytes(
     const std::vector<CheckpointSection>& sections) {
-  std::vector<std::uint8_t> buf;
-  buf.insert(buf.end(), kMagic, kMagic + 4);
+  std::size_t size = 4 + 4 + 4 + 4;  // magic, version, count, file CRC
+  for (const auto& s : sections)
+    size += 4 + s.name.size() + 8 + 4 + s.data.size();
+  std::vector<std::uint8_t> buf(kMagic, kMagic + 4);
+  buf.reserve(size);
+  // One CRC pass over the section bodies: the file CRC runs over the small
+  // headers directly and folds each body in from its section CRC.
+  std::uint32_t file_crc = 0;
+  std::size_t folded = 0;  // buf bytes already in file_crc
+  const auto fold_headers = [&] {
+    file_crc = crc32_update(
+        file_crc, std::span<const std::uint8_t>(buf).subspan(folded));
+    folded = buf.size();
+  };
   bytes::put_u32(buf, kServerCheckpointVersion);
   bytes::put_u32(buf, static_cast<std::uint32_t>(sections.size()));
   for (const auto& s : sections) {
+    const std::uint32_t section_crc = crc32(s.data);
     bytes::put_str(buf, s.name);
     bytes::put_u64(buf, s.data.size());
-    bytes::put_u32(buf, crc32(s.data));
+    bytes::put_u32(buf, section_crc);
+    fold_headers();
     buf.insert(buf.end(), s.data.begin(), s.data.end());
+    file_crc = crc32_combine(file_crc, section_crc, s.data.size());
+    folded = buf.size();
   }
-  bytes::put_u32(buf, crc32(buf));
+  fold_headers();
+  bytes::put_u32(buf, file_crc);
   return buf;
 }
 
@@ -165,6 +191,9 @@ std::vector<CheckpointSection> decode_checkpoint_file_bytes(
                        " (expected " +
                        std::to_string(kServerCheckpointVersion) + ")");
     const std::uint32_t count = r.u32();
+    // A section header is at least 16 bytes (empty name, length, CRC).
+    ADAFL_CHECK_MSG(count <= r.remaining() / 16,
+                    "section count " << count << " exceeds file");
     std::vector<CheckpointSection> sections;
     sections.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -356,6 +385,8 @@ ServerCheckpoint decode_server_checkpoint(
     bytes::Reader r(sections[5].data);
     if (r.u8() != 0) ck.server_rng = get_rng(r);
     const std::uint32_t n = r.u32();
+    ADAFL_CHECK_MSG(n <= r.remaining() / kRngBytes,
+                    "checkpoint: link rng count " << n << " exceeds section");
     ck.link_rngs.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) ck.link_rngs.push_back(get_rng(r));
     const std::uint32_t m = r.u32();
@@ -368,6 +399,8 @@ ServerCheckpoint decode_server_checkpoint(
   {
     bytes::Reader r(sections[6].data);
     const std::uint32_t n = r.u32();
+    ADAFL_CHECK_MSG(n <= r.remaining() / kMinClientBytes,
+                    "checkpoint: client count " << n << " exceeds section");
     ck.clients.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       ServerCheckpoint::ClientState c;

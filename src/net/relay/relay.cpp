@@ -65,9 +65,12 @@ bool RelaySession::parent_send(const Frame& f) {
   return true;
 }
 
-void RelaySession::child_send(Child& c, const Frame& f) {
+void RelaySession::child_send(
+    Child& c, const Frame& f,
+    const std::shared_ptr<const std::vector<std::uint8_t>>* encoded) {
   if (!c.conn) return;
-  if (!c.conn->send(f)) {
+  if (!(encoded != nullptr ? c.conn->send_encoded(f, *encoded)
+                           : c.conn->send(f))) {
     c.conn->close();  // the poll pass reaps it
     return;
   }
@@ -76,6 +79,10 @@ void RelaySession::child_send(Child& c, const Frame& f) {
         metrics::TraceEventType::kFrameTx, static_cast<int>(f.round),
         f.client_id == kServerId ? -1 : static_cast<int>(f.client_id),
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()), 0.0));
+}
+
+void RelaySession::send_model(Child& c) {
+  child_send(c, model_frame_, &model_bytes_);
 }
 
 bool RelaySession::leaf_live(int id) const {
@@ -91,7 +98,7 @@ void RelaySession::catch_up_child(Child& c) {
   if (!have_model_) return;
   if (c.is_relay) {
     // The sub-relay filters duplicates against its own round state.
-    child_send(c, model_frame_);
+    send_model(c);
     c.model_round = round_;
     for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
       const auto rit = ratio_of_.find(id);
@@ -106,7 +113,7 @@ void RelaySession::catch_up_child(Child& c) {
   }
   const int id = c.leaf_id;
   if (scored_.count(id) == 0) {
-    child_send(c, model_frame_);
+    send_model(c);
     c.model_round = round_;
   } else if (ratio_of_.count(id) != 0 && delivered_.count(id) == 0) {
     // Selected but undelivered — even when its group already shipped: a
@@ -385,7 +392,7 @@ void RelaySession::nudge_children() {
             agg_frames_.count((id / agg_group_) * agg_group_) == 0)
           undelivered = true;
       }
-      if (unscored) child_send(c, model_frame_);
+      if (unscored) send_model(c);
       if (undelivered)
         for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
           const auto rit = ratio_of_.find(id);
@@ -401,7 +408,7 @@ void RelaySession::nudge_children() {
     }
     const int id = c.leaf_id;
     if (scored_.count(id) == 0) {
-      child_send(c, model_frame_);
+      send_model(c);
     } else if (ratio_of_.count(id) != 0 && delivered_.count(id) == 0) {
       child_send(c, make_frame(MsgType::kSelect,
                                static_cast<std::uint32_t>(round_),
@@ -444,9 +451,11 @@ void RelaySession::handle_parent_frame(const Frame& f) {
         agg_frames_.clear();
         have_model_ = true;
         model_frame_ = f;
+        model_bytes_ = std::make_shared<const std::vector<std::uint8_t>>(
+            transport::encode_frame(model_frame_));
         for (Child& c : children_) {
           if (!c.bound) continue;
-          child_send(c, model_frame_);
+          send_model(c);
           c.model_round = round_;
         }
         return;
@@ -458,10 +467,10 @@ void RelaySession::handle_parent_frame(const Frame& f) {
       for (Child& c : children_) {
         if (!c.bound) continue;
         if (c.is_relay) {
-          child_send(c, model_frame_);
+          send_model(c);
           continue;
         }
-        if (scored_.count(c.leaf_id) == 0) child_send(c, model_frame_);
+        if (scored_.count(c.leaf_id) == 0) send_model(c);
       }
       for (const auto& [id, sf] : score_frames_) parent_send(sf);
       return;

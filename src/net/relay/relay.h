@@ -119,7 +119,14 @@ class RelaySession {
   };
 
   bool parent_send(const Frame& f);
-  void child_send(Child& c, const Frame& f);
+  /// Sends `f` to child `c`; a non-null `encoded` holds encode_frame(f)
+  /// and is sent as is. A failed send closes the child.
+  void child_send(
+      Child& c, const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>* encoded =
+          nullptr);
+  /// Sends the round's MODEL from its one encoding (model_bytes_).
+  void send_model(Child& c);
   /// Serves WELCOME + in-round catch-up to a just-bound child.
   void catch_up_child(Child& c);
   /// Binds a child's first frame (HELLO -> leaf, RELAY_HELLO -> sub-relay).
@@ -161,6 +168,9 @@ class RelaySession {
   int round_ = 0;
   bool have_model_ = false;
   Frame model_frame_;
+  /// encode_frame(model_frame_), built once per round and shared by every
+  /// child's send (broadcast, catch-up and nudges).
+  std::shared_ptr<const std::vector<std::uint8_t>> model_bytes_;
   std::set<int> scored_;            ///< leaves that scored this round
   /// Cached SCORE frames: a score forwarded while the parent link was down
   /// is lost, and the leaf (already scored locally) never repeats it — the

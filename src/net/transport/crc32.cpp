@@ -35,6 +35,48 @@ inline std::uint32_t load_le32(const std::uint8_t* p) {
          (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
 }
 
+// crc32_combine works in GF(2)[x] modulo the CRC polynomial, in the
+// reflected bit order of the CRC itself (bit 31 is x^0). Appending |B| zero
+// bytes to A multiplies A's CRC register by x^(8|B|); the CRC of A‖B is
+// that product xor crc32(B) (the init/final xors cancel out).
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
+/// a(x) * b(x) mod p(x). Requires a != 0.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
+}
+
+/// kX2n[k] = x^(2^k) mod p(x).
+using PowerTable = std::array<std::uint32_t, 32>;
+
+constexpr PowerTable make_powers() {
+  PowerTable t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = mul_mod_p(p, p);
+  return t;
+}
+
+constexpr PowerTable kX2n = make_powers();
+
+/// x^(n * 2^k) mod p(x).
+std::uint32_t x2n_mod_p(std::uint64_t n, unsigned k) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k)
+    if (n & 1u) p = mul_mod_p(kX2n[k & 31u], p);
+  return p;
+}
+
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc,
@@ -63,6 +105,12 @@ std::uint32_t crc32_update(std::uint32_t crc,
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return crc32_update(0, data);
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  // x^(8 len_b) = x^(len_b * 2^3).
+  return mul_mod_p(x2n_mod_p(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace adafl::net::transport

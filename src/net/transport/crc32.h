@@ -17,4 +17,10 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 std::uint32_t crc32_update(std::uint32_t crc,
                            std::span<const std::uint8_t> data);
 
+/// CRC-32 of A followed by B from crc32(A), crc32(B) and |B| alone, without
+/// touching the bytes (zlib's crc32_combine): a writer that already holds
+/// the CRC of each piece gets the CRC of the whole in O(log |B|).
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
 }  // namespace adafl::net::transport

@@ -15,7 +15,18 @@ make_loopback_pair() {
 }
 
 bool LoopbackTransport::send(const Frame& f) {
-  auto encoded = encode_frame(f);
+  return enqueue(
+      std::make_shared<const std::vector<std::uint8_t>>(encode_frame(f)));
+}
+
+bool LoopbackTransport::send_encoded(
+    const Frame&,
+    const std::shared_ptr<const std::vector<std::uint8_t>>& encoded) {
+  return enqueue(encoded);
+}
+
+bool LoopbackTransport::enqueue(
+    std::shared_ptr<const std::vector<std::uint8_t>> encoded) {
   std::lock_guard<std::mutex> lock(tx_->mu);
   if (tx_->closed) return false;
   tx_->queue.push_back(std::move(encoded));
@@ -25,7 +36,7 @@ bool LoopbackTransport::send(const Frame& f) {
 
 std::optional<Frame> LoopbackTransport::recv(
     std::chrono::milliseconds timeout) {
-  std::vector<std::uint8_t> encoded;
+  std::shared_ptr<const std::vector<std::uint8_t>> encoded;
   {
     std::unique_lock<std::mutex> lock(rx_->mu);
     // A zero timeout is a poll: the timed wait's timer slack would put an
@@ -39,7 +50,7 @@ std::optional<Frame> LoopbackTransport::recv(
     rx_->queue.pop_front();
   }
   // Every queued buffer is exactly one encoded frame.
-  return decode_frame(encoded);
+  return decode_frame(*encoded);
 }
 
 bool LoopbackTransport::closed() const {

@@ -1,9 +1,12 @@
-// In-process Transport: a pair of endpoints joined by two byte queues.
+// In-process Transport: a pair of endpoints joined by two queues of encoded
+// frames.
 //
-// Frames are run through encode_frame()/decode_frame() on every hop — the
-// loopback path exercises the exact bytes a socket would carry, so a
-// deployed run over loopback is the simulator-grade reference for the TCP
-// path (and is what the equivalence tests drive).
+// A frame is encoded once per send (send_encoded() queues the caller's
+// buffer, so a broadcast shares one immutable encoding across every
+// receiver) and decoded per receiver: each recv() runs decode_frame() —
+// magic, type, length, CRC — on the exact bytes a socket would carry. A
+// deployed run over loopback is therefore the simulator-grade reference for
+// the TCP path (and is what the equivalence tests drive).
 #pragma once
 
 #include <condition_variable>
@@ -32,6 +35,10 @@ class LoopbackTransport final : public Transport {
   ~LoopbackTransport() override { close(); }
 
   bool send(const Frame& f) override;
+  bool send_encoded(
+      const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>& encoded)
+      override;
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
   bool closed() const override;
   void close() override;
@@ -42,13 +49,16 @@ class LoopbackTransport final : public Transport {
                    std::unique_ptr<LoopbackTransport>>
   make_loopback_pair();
 
-  /// One direction of the pipe: encoded frame buffers in flight.
+  /// One direction of the pipe: encoded frame buffers in flight (shared
+  /// and immutable; a broadcast buffer may sit in many queues at once).
   struct Channel {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> queue;
+    std::deque<std::shared_ptr<const std::vector<std::uint8_t>>> queue;
     bool closed = false;
   };
+
+  bool enqueue(std::shared_ptr<const std::vector<std::uint8_t>> encoded);
 
   LoopbackTransport(std::shared_ptr<Channel> tx, std::shared_ptr<Channel> rx)
       : tx_(std::move(tx)), rx_(std::move(rx)) {}

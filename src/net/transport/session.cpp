@@ -190,8 +190,8 @@ std::vector<std::uint8_t> encode_model(const ModelPayload& m) {
   std::vector<std::uint8_t> out;
   out.reserve(8 + m.global.size() * 8);
   bytes::put_u64(out, m.global.size());
-  for (float v : m.global) bytes::put_f32(out, v);
-  for (float v : m.g_hat) bytes::put_f32(out, v);
+  bytes::put_f32s(out, m.global);
+  bytes::put_f32s(out, m.g_hat);
   return out;
 }
 
@@ -206,8 +206,8 @@ ModelPayload parse_model(std::span<const std::uint8_t> payload) {
   ModelPayload m;
   m.global.resize(d);
   m.g_hat.resize(d);
-  for (auto& v : m.global) v = r.f32();
-  for (auto& v : m.g_hat) v = r.f32();
+  r.f32s(m.global);
+  r.f32s(m.g_hat);
   return m;
 }
 
@@ -321,6 +321,12 @@ UpdateAggPayload parse_update_agg(std::span<const std::uint8_t> payload) {
   ADAFL_CHECK_MSG(nc >= 1 && nc <= a.count,
                   "update_agg: child count " << nc << " outside [1, "
                                              << a.count << "]");
+  // Both counts come off the wire: bound nc by the bytes actually present
+  // before sizing anything from it. A child record is id, num_examples,
+  // mean_loss, raw_delta_norm and wire_bytes.
+  constexpr std::size_t kChildBytes = 4 + 8 + 4 + 8 + 8;
+  ADAFL_CHECK_MSG(nc <= r.remaining() / kChildBytes,
+                  "update_agg: child count " << nc << " exceeds the payload");
   const std::uint64_t end =
       static_cast<std::uint64_t>(a.base) + a.count;
   a.children.resize(nc);
@@ -598,7 +604,7 @@ std::size_t ServerSession::send_to(
   }
   auto& conn = conns_[static_cast<std::size_t>(id)];
   if (!conn) return 0;
-  if (!conn->send(f)) {
+  if (!(pre != nullptr ? conn->send_encoded(f, *pre) : conn->send(f))) {
     conn.reset();  // peer gone; it may redial later
     return 0;
   }
@@ -618,11 +624,10 @@ void ServerSession::ensure_model_frame(RoundCtx& rc) {
   rc.model_frame = make_frame(MsgType::kModel,
                               static_cast<std::uint32_t>(rc.round),
                               kServerId, encode_model(m));
-  if (loop_ != nullptr)
-    // Encode the full wire frame once per round; every connection gets
-    // the same immutable buffer (10k-client broadcast = one encode).
-    rc.model_bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_frame(rc.model_frame));
+  // Encode the full wire frame once per round; every connection and relay
+  // gets the same immutable buffer (10k-client broadcast = one encode).
+  rc.model_bytes = std::make_shared<const std::vector<std::uint8_t>>(
+      encode_frame(rc.model_frame));
   rc.model_ready = true;
 }
 
@@ -630,8 +635,7 @@ void ServerSession::send_model(RoundCtx& rc, int id) {
   ensure_model_frame(rc);
   const Frame& f = rc.model_frame;
   const bool retransmit = rc.sent_model[static_cast<std::size_t>(id)];
-  const std::size_t sent =
-      send_to(id, f, rc.model_bytes ? &rc.model_bytes : nullptr);
+  const std::size_t sent = send_to(id, f, &rc.model_bytes);
   if (sent == 0) return;
   rc.sent_model[static_cast<std::size_t>(id)] = true;
   rc.ledger->record_download(id, static_cast<std::int64_t>(sent));
@@ -643,14 +647,19 @@ void ServerSession::send_model(RoundCtx& rc, int id) {
   }
 }
 
-std::size_t ServerSession::send_to_relay(std::size_t ridx, const Frame& f) {
+std::size_t ServerSession::send_to_relay(
+    std::size_t ridx, const Frame& f,
+    const std::shared_ptr<const std::vector<std::uint8_t>>* pre) {
   RelayBinding& rb = relays_[ridx];
   if (rb.loop_conn != kNoConn) {
     loop_->send(rb.loop_conn,
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    encode_frame(f)));
+                pre != nullptr
+                    ? *pre
+                    : std::make_shared<const std::vector<std::uint8_t>>(
+                          encode_frame(f)));
   } else if (rb.conn) {
-    if (!rb.conn->send(f)) {
+    if (!(pre != nullptr ? rb.conn->send_encoded(f, *pre)
+                         : rb.conn->send(f))) {
       // Dead relay link: close and let the poll pass reap the binding (a
       // drop_relay here would invalidate indices mid-iteration in callers).
       rb.conn->close();
@@ -671,7 +680,8 @@ std::size_t ServerSession::send_to_relay(std::size_t ridx, const Frame& f) {
 void ServerSession::send_model_to_relay(RoundCtx& rc, std::size_t ridx) {
   ensure_model_frame(rc);
   const bool retransmit = relays_[ridx].sent_model;
-  const std::size_t sent = send_to_relay(ridx, rc.model_frame);
+  const std::size_t sent =
+      send_to_relay(ridx, rc.model_frame, &rc.model_bytes);
   if (sent == 0) return;
   RelayBinding& rb = relays_[ridx];
   rb.sent_model = true;

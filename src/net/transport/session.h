@@ -286,9 +286,10 @@ class ServerSession {
     metrics::CommLedger* ledger = nullptr;
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
-    /// round). In event-loop mode `model_bytes` additionally caches the
-    /// encoded frame ONCE — the same immutable buffer is queued to every
-    /// connection, so a 10k-client broadcast encodes the model one time.
+    /// round). `model_bytes` caches its encoding ONCE — the same immutable
+    /// buffer goes to every event-loop connection, polled transport
+    /// (Transport::send_encoded) and relay, so a 10k-client broadcast
+    /// encodes the model one time.
     Frame model_frame;
     std::shared_ptr<const std::vector<std::uint8_t>> model_bytes;
     bool model_ready = false;
@@ -299,14 +300,15 @@ class ServerSession {
 
   /// Sends `f` on client `id`'s connection; on failure the connection is
   /// dropped. Returns delivered frame size (0 on failure). When `pre` is
-  /// non-null in event-loop mode, the pre-encoded bytes are queued instead
-  /// of re-encoding `f` (broadcast fast path).
+  /// non-null it holds encode_frame(f), sent instead of re-encoding `f`
+  /// (broadcast fast path); a relay-covered leaf gets `f` re-addressed, so
+  /// there `pre` is unused.
   std::size_t send_to(
       int id, const Frame& f,
       const std::shared_ptr<const std::vector<std::uint8_t>>* pre = nullptr);
   void send_model(RoundCtx& rc, int id);
-  /// Builds rc.model_frame (and, in event-loop mode, rc.model_bytes) once
-  /// per round; later calls are no-ops.
+  /// Builds rc.model_frame and rc.model_bytes once per round; later calls
+  /// are no-ops.
   void ensure_model_frame(RoundCtx& rc);
   /// True when client `id` is reachable: a direct live connection, or a
   /// live relay route with the leaf announced alive behind it. This is the
@@ -340,7 +342,10 @@ class ServerSession {
   void handle_relay_frame(RoundCtx& rc, std::size_t ridx, const Frame& f);
   void handle_update_agg(RoundCtx& rc, std::size_t ridx, const Frame& f);
   /// Sends on relay `ridx`'s connection (either mode); returns bytes sent.
-  std::size_t send_to_relay(std::size_t ridx, const Frame& f);
+  /// A non-null `pre` holds encode_frame(f) and is sent as is.
+  std::size_t send_to_relay(
+      std::size_t ridx, const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>* pre = nullptr);
   /// Pushes the round's MODEL to relay `ridx` (once per round; re-sends
   /// book as retransmissions). The relay re-broadcasts to its children.
   void send_model_to_relay(RoundCtx& rc, std::size_t ridx);

@@ -124,7 +124,17 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(
 
 bool TcpTransport::send(const Frame& f) {
   if (closed_) return false;
-  const auto encoded = encode_frame(f);
+  return write_all(encode_frame(f));
+}
+
+bool TcpTransport::send_encoded(
+    const Frame&,
+    const std::shared_ptr<const std::vector<std::uint8_t>>& encoded) {
+  if (closed_) return false;
+  return write_all(*encoded);
+}
+
+bool TcpTransport::write_all(std::span<const std::uint8_t> encoded) {
   const auto deadline = Clock::now() + send_timeout_;
   std::size_t off = 0;
   while (off < encoded.size()) {

@@ -46,6 +46,11 @@ class TcpTransport final : public Transport {
       std::chrono::milliseconds timeout);
 
   bool send(const Frame& f) override;
+  /// Writes `encoded` as is.
+  bool send_encoded(
+      const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>& encoded)
+      override;
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
   bool closed() const override { return closed_; }
   void close() override;
@@ -56,6 +61,10 @@ class TcpTransport final : public Transport {
   void set_send_timeout(std::chrono::milliseconds t) { send_timeout_ = t; }
 
  private:
+  /// Writes all of `bytes` within the send deadline; false (and closed)
+  /// on failure.
+  bool write_all(std::span<const std::uint8_t> bytes);
+
   int fd_ = -1;
   bool closed_ = false;
   std::string peer_;

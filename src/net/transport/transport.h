@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/transport/frame.h"
 
@@ -22,6 +23,20 @@ class Transport {
   /// Sends one frame. Returns false if the connection is down (the frame
   /// was not delivered); the transport is then closed().
   virtual bool send(const Frame& f) = 0;
+
+  /// Sends `f` given its complete encoding, `encoded` == encode_frame(f)
+  /// (non-null). A broadcast encodes its frame once and hands every
+  /// connection the same immutable buffer: LoopbackTransport queues the
+  /// buffer itself, TcpTransport writes it as is, UdpTransport fragments it.
+  /// The default ignores `encoded` and calls send(f), so a decorator that
+  /// overrides only send() still sees every frame. Same return contract as
+  /// send().
+  virtual bool send_encoded(
+      const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>& encoded) {
+    (void)encoded;
+    return send(f);
+  }
 
   /// Waits up to `timeout` for the next frame. Returns nullopt on timeout
   /// or when the connection closed — distinguish via closed(). Throws

@@ -146,7 +146,11 @@ FrameFragmenter::FrameFragmenter(const UdpFecConfig& cfg) : cfg_(cfg) {
 
 std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
     const Frame& f) {
-  const std::vector<std::uint8_t> enc = encode_frame(f);
+  return fragment(encode_frame(f));
+}
+
+std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
+    std::span<const std::uint8_t> enc) {
   const std::uint64_t seq = next_seq_++;
   const int K = cfg_.data_shards;
   const int R = cfg_.parity_shards;
@@ -457,9 +461,19 @@ UdpTransport::UdpTransport(std::unique_ptr<DatagramLink> link,
 }
 
 bool UdpTransport::send(const Frame& f) {
+  return send_datagrams(encode_frame(f));
+}
+
+bool UdpTransport::send_encoded(
+    const Frame&,
+    const std::shared_ptr<const std::vector<std::uint8_t>>& encoded) {
+  return send_datagrams(*encoded);
+}
+
+bool UdpTransport::send_datagrams(std::span<const std::uint8_t> encoded) {
   std::lock_guard<std::mutex> lk(send_mu_);
   if (link_->closed()) return false;
-  for (const auto& d : frag_.fragment(f))
+  for (const auto& d : frag_.fragment(encoded))
     if (!link_->send(d)) return false;
   return true;
 }

@@ -181,6 +181,9 @@ class FrameFragmenter {
   /// All datagrams for `f`, in send order (per generation: data then
   /// parity). Each call consumes one frame_seq.
   std::vector<std::vector<std::uint8_t>> fragment(const Frame& f);
+  /// Same, from the frame's encoding (encode_frame(f)).
+  std::vector<std::vector<std::uint8_t>> fragment(
+      std::span<const std::uint8_t> encoded);
 
  private:
   UdpFecConfig cfg_;
@@ -237,12 +240,19 @@ class UdpTransport final : public Transport {
   UdpTransport(std::unique_ptr<DatagramLink> link, UdpFecConfig cfg);
 
   bool send(const Frame& f) override;
+  /// Fragments `encoded` as is.
+  bool send_encoded(
+      const Frame& f,
+      const std::shared_ptr<const std::vector<std::uint8_t>>& encoded)
+      override;
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
   bool closed() const override;
   void close() override;
   std::string peer() const override;
 
  private:
+  bool send_datagrams(std::span<const std::uint8_t> encoded);
+
   std::unique_ptr<DatagramLink> link_;
   UdpFecConfig cfg_;
   std::mutex send_mu_;

@@ -104,6 +104,34 @@ TEST(Crc32, MatchesReferenceOnOneMebibyte) {
   EXPECT_EQ(crc32(buf), reference_crc32_update(0, buf));
 }
 
+// crc32_combine(crc32(A), crc32(B), |B|) == crc32(A‖B) at every split of
+// the reference buffer (empty A and empty B included) and on 1 MiB.
+TEST(Crc32, CombineMatchesWholeBufferCrcAtEverySplit) {
+  const auto buf = random_bytes(1100 + 16, 0xC3C32u);
+  const std::span<const std::uint8_t> s = std::span(buf).first(1100);
+  const std::uint32_t want = reference_crc32_update(0, s);
+  for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+    const auto a = s.first(cut), b = s.subspan(cut);
+    ASSERT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), want)
+        << "split at " << cut;
+  }
+  // Shorter wholes too, so len_b takes every value 0..1100.
+  for (std::size_t len = 0; len <= s.size(); ++len)
+    ASSERT_EQ(crc32_combine(0, crc32(s.first(len)), len), crc32(s.first(len)))
+        << "empty A, |B| " << len;
+
+  const auto big = random_bytes(std::size_t{1} << 20, 0x1E6Bu);
+  const std::span<const std::uint8_t> m(big);
+  const std::uint32_t want_big = reference_crc32_update(0, m);
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4097}, m.size() / 2,
+        m.size() - 1, m.size()})
+    EXPECT_EQ(crc32_combine(crc32(m.first(cut)), crc32(m.subspan(cut)),
+                            m.size() - cut),
+              want_big)
+        << "split at " << cut;
+}
+
 TEST(Frame, EncodeDecodeRoundTrip) {
   const Frame f = sample_frame();
   const auto bytes = encode_frame(f);

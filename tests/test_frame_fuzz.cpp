@@ -540,6 +540,28 @@ TEST(UpdateAggFuzz, TruncationsAndLengthLies) {
       lied[plen_off + b] = static_cast<std::uint8_t>((bad >> (8 * b)) & 0xFF);
     ASSERT_FALSE(root_accepts(lied)) << "plen lie " << delta << " accepted";
   }
+
+  // Child-count lies: count and nc both come off the wire, so neither may
+  // size anything before the bytes behind them are known to exist. A bare
+  // 12-byte header claiming 2^32 - 1 children is the smallest such frame.
+  const auto put_u32_at = [](std::vector<std::uint8_t>& v, std::size_t off,
+                             std::uint32_t x) {
+    for (int b = 0; b < 4; ++b)
+      v[off + b] = static_cast<std::uint8_t>((x >> (8 * b)) & 0xFF);
+  };
+  std::vector<std::uint8_t> header(12, 0);
+  put_u32_at(header, 4, 0xFFFFFFFFu);  // count
+  put_u32_at(header, 8, 0xFFFFFFFFu);  // nc
+  ASSERT_FALSE(root_accepts(header)) << "12-byte child-count lie accepted";
+  for (const std::uint32_t nc :
+       {static_cast<std::uint32_t>(a.children.size() + 1),
+        static_cast<std::uint32_t>(bytes.size() / 32 + 1), 0xFFFFFFFFu}) {
+    std::vector<std::uint8_t> lied = bytes;
+    put_u32_at(lied, 4, 0xFFFFFFFFu);
+    put_u32_at(lied, 8, nc);
+    ASSERT_FALSE(root_accepts(lied)) << "child count lie " << nc
+                                     << " accepted";
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "net/transport/crc32.h"
 #include "tensor/check.h"
 
 namespace adafl::core {
@@ -220,6 +221,46 @@ TEST(ServerCheckpoint, NonFiniteWeightsRejected) {
   ck.global[1] = std::numeric_limits<float>::quiet_NaN();
   save_server_checkpoint(path, ck);
   EXPECT_THROW(load_server_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+void put_u32_at(std::vector<std::uint8_t>& v, std::size_t off,
+                std::uint32_t x) {
+  for (int b = 0; b < 4; ++b)
+    v[off + b] = static_cast<std::uint8_t>((x >> (8 * b)) & 0xFF);
+}
+
+// Counts read from an image size nothing until the bytes behind them are
+// known to exist. Each image here has valid CRCs (a hostile or buggy
+// producer can write those), so only the count checks stand between a
+// forged 2^32 - 1 and a giant allocation: the loader must raise its own
+// error, never bad_alloc.
+TEST(ServerCheckpoint, ForgedCountsRejected) {
+  const std::string path = temp_path("srv_ckpt_counts.bin");
+  const auto good = encode_server_checkpoint(full_checkpoint());
+  // rng: u8 server-rng flag + one 41-byte rng record, then the link-rng
+  // count. clients: the count comes first.
+  const std::pair<std::size_t, std::size_t> forged[] = {{5, 1 + 41},
+                                                        {6, 0}};
+  for (const auto& [section, off] : forged) {
+    auto sections = good;
+    put_u32_at(sections[section].data, off, 0xFFFFFFFFu);
+    EXPECT_THROW(decode_server_checkpoint(sections), CheckError)
+        << "section " << sections[section].name;
+    write_checkpoint_file(path, sections);
+    EXPECT_THROW(load_server_checkpoint(path), std::runtime_error)
+        << "section " << sections[section].name;
+  }
+
+  // The container's own section count (magic, version, count), with the
+  // file CRC recomputed over the forged header.
+  std::vector<std::uint8_t> image = encode_checkpoint_file_bytes(good);
+  put_u32_at(image, 8, 0xFFFFFFFFu);
+  put_u32_at(image, image.size() - 4,
+             net::transport::crc32(
+                 std::span<const std::uint8_t>(image).first(image.size() - 4)));
+  EXPECT_THROW(decode_checkpoint_file_bytes(image, "forged"),
+               std::runtime_error);
   std::remove(path.c_str());
 }
 

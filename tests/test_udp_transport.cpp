@@ -308,6 +308,31 @@ TEST(UdpTransportLoopback, BidirectionalFrames) {
   EXPECT_FALSE(ta.recv(std::chrono::milliseconds(10)).has_value());
 }
 
+// send_encoded() fragments the caller's encoding: the datagrams are the
+// ones send() would put on the link, frame_seq for frame_seq, and the peer
+// reassembles the same frame.
+TEST(UdpTransportLoopback, SendEncodedMatchesSend) {
+  const Frame f = test_frame(5000, 4);
+  const auto enc =
+      std::make_shared<const std::vector<std::uint8_t>>(encode_frame(f));
+  FrameFragmenter by_frame(small_cfg()), by_bytes(small_cfg());
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(by_frame.fragment(f), by_bytes.fragment(*enc)) << "frame " << i;
+
+  auto [a, b] = make_datagram_loopback_pair();
+  UdpTransport ta(std::move(a), small_cfg());
+  UdpTransport tb(std::move(b), small_cfg());
+  ASSERT_TRUE(ta.send(f));
+  ASSERT_TRUE(ta.send_encoded(f, enc));
+  for (int i = 0; i < 2; ++i) {
+    const auto got = tb.recv(std::chrono::milliseconds(1000));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->type, f.type);
+    EXPECT_EQ(got->round, f.round);
+    EXPECT_EQ(got->payload, f.payload);
+  }
+}
+
 // LoopbackDatagramLink::recv(0) is a poll, as on the frame transports:
 // state-only assertions, no elapsed time.
 TEST(UdpTransportLoopback, ZeroTimeoutRecvPollsQueueState) {
