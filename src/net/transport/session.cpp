@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -39,62 +40,64 @@ Frame make_frame(MsgType type, std::uint32_t round, std::uint32_t client_id,
 
 }  // namespace
 
-/// Shared inbox between the session thread (which drains the event loop
-/// and routes a standby connection's frames here) and the replication
-/// publisher's Transport view of that connection.
-struct LoopPeerState {
+/// Shared inbox between the session thread (which drains a standby
+/// connection and routes its frames here) and the replication publisher's
+/// Transport view of that connection.
+struct StandbyLink {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Frame> inbox;
   std::atomic<bool> closed{false};
+  /// The session's send path for the connection; called only while open.
+  std::function<bool(const Frame&)> send;
 };
 
 namespace {
 
-/// Transport adapter over one event-loop connection, handed to the
-/// replication publisher when a standby subscribes in event-loop mode.
-/// recv() pops from the shared inbox the session fills; send() queues
-/// encoded bytes on the loop.
-class LoopPeerTransport final : public Transport {
+/// Transport adapter over one standby connection, handed to the replication
+/// publisher. recv() pops from the shared inbox the session fills; send()
+/// goes out through the session's send path. close() only marks the link:
+/// the session closes the connection itself (on its next frame, or at
+/// teardown after the loop flushed), so a final SHUTDOWN is never cut off.
+class StandbyLinkTransport final : public Transport {
  public:
-  LoopPeerTransport(EventLoop* loop, ConnId conn,
-                    std::shared_ptr<LoopPeerState> state)
-      : loop_(loop), conn_(conn), state_(std::move(state)) {}
+  explicit StandbyLinkTransport(std::shared_ptr<StandbyLink> link)
+      : link_(std::move(link)) {}
 
   bool send(const Frame& f) override {
-    if (state_->closed.load()) return false;
-    loop_->send(conn_, std::make_shared<const std::vector<std::uint8_t>>(
-                           encode_frame(f)));
-    return true;
+    return !link_->closed.load() && link_->send(f);
   }
 
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override {
-    std::unique_lock<std::mutex> lk(state_->mu);
-    if (state_->inbox.empty() && timeout.count() > 0)
-      state_->cv.wait_for(lk, timeout, [&] {
-        return !state_->inbox.empty() || state_->closed.load();
+    std::unique_lock<std::mutex> lk(link_->mu);
+    if (link_->inbox.empty() && timeout.count() > 0)
+      link_->cv.wait_for(lk, timeout, [&] {
+        return !link_->inbox.empty() || link_->closed.load();
       });
-    if (state_->inbox.empty()) return std::nullopt;
-    Frame f = std::move(state_->inbox.front());
-    state_->inbox.pop_front();
+    if (link_->inbox.empty()) return std::nullopt;
+    Frame f = std::move(link_->inbox.front());
+    link_->inbox.pop_front();
     return f;
   }
 
-  bool closed() const override { return state_->closed.load(); }
+  bool closed() const override { return link_->closed.load(); }
 
   void close() override {
-    state_->closed.store(true);
-    state_->cv.notify_all();
-    loop_->close_conn(conn_);
+    link_->closed.store(true);
+    link_->cv.notify_all();
   }
 
-  std::string peer() const override { return "event-loop"; }
+  std::string peer() const override { return "standby-link"; }
 
  private:
-  EventLoop* loop_;
-  ConnId conn_;
-  std::shared_ptr<LoopPeerState> state_;
+  std::shared_ptr<StandbyLink> link_;
 };
+
+/// Trace peer of a relay-link frame: the leaf it is addressed to or from,
+/// -1 for the relay itself.
+int relay_peer(const Frame& f) {
+  return f.client_id == kServerId ? -1 : static_cast<int>(f.client_id);
+}
 
 }  // namespace
 
@@ -409,16 +412,21 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                   "ServerSession: quorum out of range");
   ADAFL_CHECK_MSG(cfg_.params.agg_group >= 0,
                   "ServerSession: negative agg_group");
-  conns_.resize(static_cast<std::size_t>(cfg_.expected_clients));
-  ever_joined_.assign(static_cast<std::size_t>(cfg_.expected_clients), false);
-  leaf_relay_.assign(static_cast<std::size_t>(cfg_.expected_clients), -1);
-  child_live_.assign(static_cast<std::size_t>(cfg_.expected_clients), 0);
+  const auto n = static_cast<std::size_t>(cfg_.expected_clients);
+  ever_joined_.assign(n, false);
+  client_conn_.assign(n, kNoConn);
+  leaf_relay_.assign(n, -1);
+  child_live_.assign(n, 0);
+  pending_decode_.assign(n, 0);
   WelcomeInfo w;
   w.rounds = static_cast<std::uint32_t>(cfg_.rounds);
   w.param_count = core_.global().size();
   w.params = cfg_.params;
   w.config = cfg_.client_config;
   welcome_payload_ = encode_welcome(w);
+  welcome_frame_bytes_ = std::make_shared<const std::vector<std::uint8_t>>(
+      encode_frame(make_frame(MsgType::kWelcome, 0, kServerId,
+                              welcome_payload_)));
 }
 
 void ServerSession::add_transport(std::unique_ptr<Transport> t) {
@@ -427,21 +435,10 @@ void ServerSession::add_transport(std::unique_ptr<Transport> t) {
   pending_.push_back(std::move(t));
 }
 
-void ServerSession::attach_event_loop(EventLoop* loop) {
-  loop_ = loop;
-  client_conn_.assign(static_cast<std::size_t>(cfg_.expected_clients),
-                      kNoConn);
-  pending_decode_.assign(static_cast<std::size_t>(cfg_.expected_clients), 0);
-  welcome_frame_bytes_ = std::make_shared<const std::vector<std::uint8_t>>(
-      encode_frame(make_frame(MsgType::kWelcome, 0, kServerId,
-                              welcome_payload_)));
-}
+void ServerSession::attach_event_loop(EventLoop* loop) { loop_ = loop; }
 
 bool ServerSession::direct_connected(int id) const {
-  if (loop_ != nullptr &&
-      client_conn_[static_cast<std::size_t>(id)] != kNoConn)
-    return true;
-  return static_cast<bool>(conns_[static_cast<std::size_t>(id)]);
+  return client_conn_[static_cast<std::size_t>(id)] != kNoConn;
 }
 
 bool ServerSession::connected(int id) const {
@@ -453,21 +450,36 @@ bool ServerSession::connected(int id) const {
          child_live_[static_cast<std::size_t>(id)] != 0;
 }
 
-void ServerSession::drop_loop_conn(ConnId conn) {
-  auto it = conn_client_.find(conn);
-  if (it != conn_client_.end()) {
-    const int id = it->second;
-    if (client_conn_[static_cast<std::size_t>(id)] == conn)
-      client_conn_[static_cast<std::size_t>(id)] = kNoConn;
-    conn_client_.erase(it);
+std::size_t ServerSession::relay_of(ConnId conn) const {
+  std::size_t ridx = 0;
+  while (relays_[ridx].conn != conn) ++ridx;
+  return ridx;
+}
+
+void ServerSession::drop_conn(ConnId conn) {
+  const auto it = peers_.find(conn);
+  if (it != peers_.end()) {
+    const Peer p = std::move(it->second);
+    peers_.erase(it);
+    switch (p.role) {
+      case Peer::Role::kClient:
+        client_conn_[static_cast<std::size_t>(p.client)] = kNoConn;
+        break;
+      case Peer::Role::kRelay:
+        drop_relay(relay_of(conn));
+        break;
+      case Peer::Role::kStandby:
+        p.standby->closed.store(true);
+        p.standby->cv.notify_all();
+        break;
+    }
   }
-  auto st = standby_links_.find(conn);
-  if (st != standby_links_.end()) {
-    st->second->closed.store(true);
-    st->second->cv.notify_all();
-    standby_links_.erase(st);
+  if (conn < kPolledBase) {
+    loop_->close_conn(conn);
+  } else if (const auto t = polled_.find(conn); t != polled_.end()) {
+    t->second->close();
+    polled_.erase(t);
   }
-  loop_->close_conn(conn);
 }
 
 void ServerSession::request_stop(bool write_checkpoint) {
@@ -543,27 +555,19 @@ int ServerSession::resume_from_checkpoint() {
 }
 
 void ServerSession::drop_all_connections() {
-  for (auto& conn : conns_) {
-    if (!conn) continue;
-    conn->close();  // abrupt: no SHUTDOWN, clients redial or back off
-    conn.reset();
-  }
-  for (auto& rb : relays_)
-    if (rb.conn) rb.conn->close();
+  for (auto& [conn, p] : peers_)
+    if (p.standby) {
+      p.standby->closed.store(true);
+      p.standby->cv.notify_all();
+    }
+  peers_.clear();
+  for (auto& [conn, t] : polled_) t->close();  // abrupt: no SHUTDOWN
+  polled_.clear();
+  std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
   relays_.clear();
-  relay_conn_.clear();
   std::fill(leaf_relay_.begin(), leaf_relay_.end(), -1);
   std::fill(child_live_.begin(), child_live_.end(), 0);
-  if (loop_ != nullptr) {
-    for (auto& [conn, state] : standby_links_) {
-      state->closed.store(true);
-      state->cv.notify_all();
-    }
-    standby_links_.clear();
-    conn_client_.clear();
-    std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
-    loop_->stop();  // closes every loop-owned socket
-  }
+  loop_->stop();  // closes every loop-owned socket
   std::lock_guard<std::mutex> lock(pending_mu_);
   for (auto& t : pending_) t->close();
   pending_.clear();
@@ -573,51 +577,61 @@ double ServerSession::trace_now() const {
   return std::chrono::duration<double>(Clock::now() - trace_t0_).count();
 }
 
-std::size_t ServerSession::send_to(
-    int id, const Frame& f,
-    const std::shared_ptr<const std::vector<std::uint8_t>>* pre) {
-  if (!direct_connected(id)) {
+bool ServerSession::tracing() const {
+  return cfg_.tracer != nullptr && cfg_.tracer->enabled();
+}
+
+void ServerSession::trace_frame(metrics::TraceEventType type, const Frame& f,
+                                int peer) {
+  if (tracing())
+    cfg_.tracer->record(metrics::ev_frame(
+        type, static_cast<int>(f.round), peer, to_string(f.type),
+        static_cast<std::int64_t>(f.wire_size()), trace_now()));
+}
+
+void ServerSession::book_retransmit(RoundCtx& rc, int id, std::size_t sent) {
+  rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
+  if (tracing())
+    cfg_.tracer->record(metrics::ev_retransmit(
+        rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
+}
+
+bool ServerSession::send_bytes(ConnId conn, const Frame& f, const Bytes* pre) {
+  if (conn < kPolledBase) {
+    loop_->send(conn, pre != nullptr
+                          ? *pre
+                          : std::make_shared<const std::vector<std::uint8_t>>(
+                                encode_frame(f)));
+    return true;
+  }
+  const auto it = polled_.find(conn);
+  if (it == polled_.end()) return false;
+  Transport& t = *it->second;
+  if (pre != nullptr ? t.send_encoded(f, *pre) : t.send(f)) return true;
+  // Dead peer: close now, reap on the next drain (dropping it here would
+  // invalidate relay indices mid-iteration in callers).
+  t.close();
+  return false;
+}
+
+std::size_t ServerSession::send_to(int id, const Frame& f, const Bytes* pre) {
+  const ConnId conn = client_conn_[static_cast<std::size_t>(id)];
+  if (conn == kNoConn) {
     // Relay-covered leaf: route via its relay with the frame addressed to
     // the leaf (client_id rewritten); the relay forwards it down.
     const int ridx = leaf_relay_[static_cast<std::size_t>(id)];
-    if (ridx >= 0) {
-      Frame rf = f;
-      rf.client_id = static_cast<std::uint32_t>(id);
-      return send_to_relay(static_cast<std::size_t>(ridx), rf);
-    }
+    if (ridx < 0) return 0;
+    Frame rf = f;
+    rf.client_id = static_cast<std::uint32_t>(id);
+    return send_to_relay(static_cast<std::size_t>(ridx), rf);
   }
-  if (loop_ != nullptr &&
-      client_conn_[static_cast<std::size_t>(id)] != kNoConn) {
-    // Queued on the loop thread; a dead peer surfaces via take_closed() on
-    // a later pass, exactly like a lost datagram would.
-    loop_->send(client_conn_[static_cast<std::size_t>(id)],
-                pre != nullptr
-                    ? *pre
-                    : std::make_shared<const std::vector<std::uint8_t>>(
-                          encode_frame(f)));
-    if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameTx, static_cast<int>(f.round), id,
-          to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-          trace_now()));
-    return f.wire_size();
-  }
-  auto& conn = conns_[static_cast<std::size_t>(id)];
-  if (!conn) return 0;
-  if (!(pre != nullptr ? conn->send_encoded(f, *pre) : conn->send(f))) {
-    conn.reset();  // peer gone; it may redial later
-    return 0;
-  }
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_frame(
-        metrics::TraceEventType::kFrameTx, static_cast<int>(f.round), id,
-        to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-        trace_now()));
+  if (!send_bytes(conn, f, pre)) return 0;
+  trace_frame(metrics::TraceEventType::kFrameTx, f, id);
   return f.wire_size();
 }
 
 void ServerSession::ensure_model_frame(RoundCtx& rc) {
-  if (rc.model_ready) return;
+  if (rc.model_bytes) return;
   ModelPayload m;
   m.global = core_.global();
   m.g_hat = core_.g_hat();
@@ -628,52 +642,32 @@ void ServerSession::ensure_model_frame(RoundCtx& rc) {
   // gets the same immutable buffer (10k-client broadcast = one encode).
   rc.model_bytes = std::make_shared<const std::vector<std::uint8_t>>(
       encode_frame(rc.model_frame));
-  rc.model_ready = true;
 }
 
 void ServerSession::send_model(RoundCtx& rc, int id) {
   ensure_model_frame(rc);
-  const Frame& f = rc.model_frame;
   const bool retransmit = rc.sent_model[static_cast<std::size_t>(id)];
-  const std::size_t sent = send_to(id, f, &rc.model_bytes);
+  const std::size_t sent = send_to(id, rc.model_frame, &rc.model_bytes);
   if (sent == 0) return;
   rc.sent_model[static_cast<std::size_t>(id)] = true;
   rc.ledger->record_download(id, static_cast<std::int64_t>(sent));
-  if (retransmit) {
-    rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-    if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-      cfg_.tracer->record(metrics::ev_retransmit(
-          rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-  }
+  if (retransmit) book_retransmit(rc, id, sent);
 }
 
-std::size_t ServerSession::send_to_relay(
-    std::size_t ridx, const Frame& f,
-    const std::shared_ptr<const std::vector<std::uint8_t>>* pre) {
-  RelayBinding& rb = relays_[ridx];
-  if (rb.loop_conn != kNoConn) {
-    loop_->send(rb.loop_conn,
-                pre != nullptr
-                    ? *pre
-                    : std::make_shared<const std::vector<std::uint8_t>>(
-                          encode_frame(f)));
-  } else if (rb.conn) {
-    if (!(pre != nullptr ? rb.conn->send_encoded(f, *pre)
-                         : rb.conn->send(f))) {
-      // Dead relay link: close and let the poll pass reap the binding (a
-      // drop_relay here would invalidate indices mid-iteration in callers).
-      rb.conn->close();
-      return 0;
-    }
-  } else {
-    return 0;
-  }
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_frame(
-        metrics::TraceEventType::kFrameTx, static_cast<int>(f.round),
-        f.client_id == kServerId ? -1 : static_cast<int>(f.client_id),
-        to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-        trace_now()));
+void ServerSession::resend_select(RoundCtx& rc, int id) {
+  if (rc.phase != Phase::kUpdate || rc.awaiting.count(id) == 0 ||
+      delivered_[static_cast<std::size_t>(id)])
+    return;
+  const std::size_t sent = send_to(
+      id, make_frame(MsgType::kSelect, static_cast<std::uint32_t>(rc.round),
+                     kServerId, encode_f64(rc.ratio_of.at(id))));
+  if (sent != 0) book_retransmit(rc, id, sent);
+}
+
+std::size_t ServerSession::send_to_relay(std::size_t ridx, const Frame& f,
+                                         const Bytes* pre) {
+  if (!send_bytes(relays_[ridx].conn, f, pre)) return 0;
+  trace_frame(metrics::TraceEventType::kFrameTx, f, relay_peer(f));
   return f.wire_size();
 }
 
@@ -687,16 +681,11 @@ void ServerSession::send_model_to_relay(RoundCtx& rc, std::size_t ridx) {
   rb.sent_model = true;
   // One MODEL feeds the whole subtree; book it against the range base.
   rc.ledger->record_download(rb.base, static_cast<std::int64_t>(sent));
-  if (retransmit) {
-    rc.ledger->record_retransmit(rb.base, static_cast<std::int64_t>(sent));
-    if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-      cfg_.tracer->record(metrics::ev_retransmit(
-          rc.round, rb.base, static_cast<std::int64_t>(sent), trace_now()));
-  }
+  if (retransmit) book_retransmit(rc, rb.base, sent);
 }
 
 void ServerSession::drop_relay(std::size_t ridx) {
-  RelayBinding& rb = relays_[ridx];
+  const RelayBinding& rb = relays_[ridx];
   // Clear the leaves' routes and liveness but keep their round state
   // (scores, awaiting): a promoted standby re-binding the range can still
   // recover the round; unrecovered loss falls to the round deadline exactly
@@ -708,23 +697,15 @@ void ServerSession::drop_relay(std::size_t ridx) {
       child_live_[static_cast<std::size_t>(id)] = 0;
     }
   }
-  if (rb.loop_conn != kNoConn) {
-    relay_conn_.erase(rb.loop_conn);
-    loop_->close_conn(rb.loop_conn);
-  }
-  if (rb.conn) rb.conn->close();
   relays_.erase(relays_.begin() + static_cast<std::ptrdiff_t>(ridx));
   // Compact: bindings above ridx shifted down by one.
   for (auto& r : leaf_relay_)
     if (r > static_cast<int>(ridx)) --r;
-  for (auto& [conn, idx] : relay_conn_)
-    if (idx > ridx) --idx;
 }
 
 void ServerSession::handle_relay_hello(RoundCtx& rc,
                                        const RelayHelloPayload& h,
-                                       std::unique_ptr<Transport> conn,
-                                       ConnId loop_conn) {
+                                       ConnId conn) {
   const int g = cfg_.params.agg_group;
   ADAFL_CHECK_MSG(h.version == kProtocolVersion,
                   "session: relay protocol version mismatch");
@@ -740,45 +721,27 @@ void ServerSession::handle_relay_hello(RoundCtx& rc,
   // existing binding its range overlaps.
   for (std::size_t i = relays_.size(); i-- > 0;) {
     const RelayBinding& rb = relays_[i];
-    if (base < rb.base + rb.count && rb.base < base + count) drop_relay(i);
+    if (base < rb.base + rb.count && rb.base < base + count)
+      drop_conn(rb.conn);
   }
-  RelayBinding rb;
-  rb.base = static_cast<int>(base);
-  rb.count = static_cast<int>(count);
-  rb.conn = std::move(conn);
-  rb.loop_conn = loop_conn;
   const std::size_t ridx = relays_.size();
-  relays_.push_back(std::move(rb));
-  if (loop_conn != kNoConn) relay_conn_[loop_conn] = ridx;
+  relays_.push_back(RelayBinding{static_cast<int>(base),
+                                 static_cast<int>(count), conn, false});
+  peers_[conn] = Peer{Peer::Role::kRelay, -1, nullptr};
   for (std::int64_t id = base; id < base + count; ++id) {
     leaf_relay_[static_cast<std::size_t>(id)] = static_cast<int>(ridx);
     child_live_[static_cast<std::size_t>(id)] = 0;  // until announced
   }
   // WELCOME: the relay caches the payload verbatim and serves its children.
   send_to_relay(ridx,
-                make_frame(MsgType::kWelcome, 0, kServerId, welcome_payload_));
-  // In-round catch-up: the current MODEL (the relay re-broadcasts it), and
-  // pending SELECTs for its leaves when the update phase is in flight.
-  if (rc.model_ready) send_model_to_relay(rc, ridx);
-  if (rc.phase == Phase::kUpdate) {
-    for (std::int64_t id = base; id < base + count; ++id) {
-      const int lid = static_cast<int>(id);
-      if (rc.awaiting.count(lid) == 0 ||
-          delivered_[static_cast<std::size_t>(lid)])
-        continue;
-      const Frame sf = make_frame(MsgType::kSelect,
-                                  static_cast<std::uint32_t>(rc.round),
-                                  static_cast<std::uint32_t>(lid),
-                                  encode_f64(rc.ratio_of.at(lid)));
-      const std::size_t sent = send_to_relay(ridx, sf);
-      if (sent != 0) {
-        rc.ledger->record_retransmit(lid, static_cast<std::int64_t>(sent));
-        if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-          cfg_.tracer->record(metrics::ev_retransmit(
-              rc.round, lid, static_cast<std::int64_t>(sent), trace_now()));
-      }
-    }
-  }
+                make_frame(MsgType::kWelcome, 0, kServerId, welcome_payload_),
+                &welcome_frame_bytes_);
+  // In-round catch-up: the current MODEL, which the relay re-broadcasts in
+  // the score phase and needs in the update phase to accept this round's
+  // SELECTs, then the pending SELECTs for its leaves.
+  send_model_to_relay(rc, ridx);
+  for (std::int64_t id = base; id < base + count; ++id)
+    resend_select(rc, static_cast<int>(id));
 }
 
 void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
@@ -815,24 +778,11 @@ void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
       child_live_[static_cast<std::size_t>(id)] = 1;
       if (rejoin) {
         rc.ledger->record_reconnect(id);
-        if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
+        if (tracing())
           cfg_.tracer->record(
               metrics::ev_reconnect(rc.round, id, trace_now()));
       }
-      if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-          !delivered_[static_cast<std::size_t>(id)]) {
-        const Frame sf = make_frame(MsgType::kSelect,
-                                    static_cast<std::uint32_t>(rc.round),
-                                    static_cast<std::uint32_t>(id),
-                                    encode_f64(rc.ratio_of.at(id)));
-        const std::size_t sent = send_to_relay(ridx, sf);
-        if (sent != 0) {
-          rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-          if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-            cfg_.tracer->record(metrics::ev_retransmit(
-                rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-        }
-      }
+      resend_select(rc, id);
       return;
     }
     case MsgType::kChildGone: {
@@ -951,19 +901,8 @@ void ServerSession::nudge(RoundCtx& rc) {
   // Update phase: re-send SELECT to selected clients that have not
   // delivered. A duplicate SELECT makes the client re-send its cached
   // update bytes (it never compresses twice).
-  for (int id : rc.awaiting) {
-    if (!connected(id) || delivered_[static_cast<std::size_t>(id)]) continue;
-    const Frame sf =
-        make_frame(MsgType::kSelect, static_cast<std::uint32_t>(rc.round),
-                   kServerId, encode_f64(rc.ratio_of.at(id)));
-    const std::size_t sent = send_to(id, sf);
-    if (sent != 0) {
-      rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_retransmit(
-            rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-    }
-  }
+  for (int id : rc.awaiting)
+    if (connected(id)) resend_select(rc, id);
 }
 
 void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
@@ -980,37 +919,6 @@ void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
       rc.scored[static_cast<std::size_t>(id)] = true;
       return;
     }
-    case MsgType::kUpdate: {
-      if (rc.phase != Phase::kUpdate ||
-          f.round != static_cast<std::uint32_t>(rc.round) ||
-          rc.awaiting.count(id) == 0 ||
-          delivered_[static_cast<std::size_t>(id)])
-        return;
-      // Decode straight into the client's reused delivery slot. The slot is
-      // only marked delivered after validation: a throw below leaves it
-      // unmarked (and droppable), so a partial decode cannot be aggregated.
-      core::AdaFlDelivery& dl = delivery_slots_[static_cast<std::size_t>(id)];
-      parse_update_fields(f.payload, dl);
-      // Slots are reused across rounds; a slot that once held a relay
-      // partial's metadata must not poison a later direct delivery.
-      dl.meta_only = false;
-      // Reject protocol-valid-but-wrong updates here, inside the service
-      // loop's CheckError net: the offending peer is dropped and the round
-      // degrades. deserialize() already bounds top-k indices by dense_size,
-      // so past these two checks apply_round cannot throw on this delivery.
-      ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
-                      "session: UPDATE from client "
-                          << id << " carries a non-top-k message");
-      ADAFL_CHECK_MSG(
-          dl.msg.dense_size ==
-              static_cast<std::int64_t>(core_.global().size()),
-          "session: UPDATE from client " << id << " dimension mismatch");
-      delivered_[static_cast<std::size_t>(id)] = 1;
-      ++delivered_count_;
-      rc.ledger->record_upload(id, static_cast<std::int64_t>(f.wire_size()),
-                               true);
-      return;
-    }
     case MsgType::kPing:
       send_to(id, make_frame(MsgType::kPong, f.round, kServerId));
       return;
@@ -1020,372 +928,182 @@ void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
 }
 
 bool ServerSession::service(RoundCtx& rc) {
-  bool progress = false;
-
-  // 0) Keep standby leases alive (answer their PINGs) and reap dead ones.
+  // Keep standby leases alive (answer their PINGs) and reap dead ones.
   if (cfg_.publisher != nullptr) cfg_.publisher->service();
 
-  // Event-loop frames first; the classic Transport path below still runs so
-  // add_transport() connections (the UDP mux) work alongside the loop.
-  if (loop_ != nullptr && service_event_loop(rc)) progress = true;
-
-  // 1) Handshake pending transports (HELLO -> WELCOME -> in-round catchup).
-  std::vector<std::unique_ptr<Transport>> pending;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending.swap(pending_);
-  }
-  for (auto& t : pending) {
-    std::optional<Frame> f;
-    try {
-      f = t->recv(std::chrono::milliseconds(0));
-    } catch (const CheckError&) {
-      continue;  // malformed stream before HELLO: drop
-    }
-    if (!f) {
-      if (!t->closed()) {  // still waiting for its HELLO
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        pending_.push_back(std::move(t));
-      }
-      continue;
-    }
-    progress = true;
-    if (f->type == MsgType::kStandbyHello) {
-      // A replication peer, not a client: hand the connection to the
-      // publisher (or drop it when replication is not configured).
-      try {
-        ADAFL_CHECK_MSG(parse_hello(f->payload) == kProtocolVersion,
-                        "session: standby protocol version mismatch");
-      } catch (const CheckError&) {
-        continue;
-      }
-      if (cfg_.publisher != nullptr) cfg_.publisher->adopt(std::move(t));
-      continue;
-    }
-    if (f->type == MsgType::kRelayHello) {
-      // A mid-tier aggregator announcing its leaf range.
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            -1, to_string(f->type),
-            static_cast<std::int64_t>(f->wire_size()), trace_now()));
-      try {
-        const RelayHelloPayload h = parse_relay_hello(f->payload);
-        handle_relay_hello(rc, h, std::move(t), kNoConn);
-      } catch (const CheckError&) {
-        // invalid claim: drop the connection (t closes on destruction)
-      }
-      continue;
-    }
-    int id = -1;
-    try {
-      ADAFL_CHECK_MSG(f->type == MsgType::kHello,
-                      "session: expected HELLO, got " << to_string(f->type));
-      ADAFL_CHECK_MSG(parse_hello(f->payload) == kProtocolVersion,
-                      "session: protocol version mismatch");
-      ADAFL_CHECK_MSG(f->client_id < static_cast<std::uint32_t>(
-                                         cfg_.expected_clients),
-                      "session: client id " << f->client_id
-                                            << " out of range");
-      id = static_cast<int>(f->client_id);
-    } catch (const CheckError&) {
-      continue;  // bad handshake: drop
-    }
-    const bool rejoin = ever_joined_[static_cast<std::size_t>(id)];
-    conns_[static_cast<std::size_t>(id)] = std::move(t);  // replaces any stale conn
-    ever_joined_[static_cast<std::size_t>(id)] = true;
-    const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx, static_cast<int>(f->round), id,
-          to_string(f->type), static_cast<std::int64_t>(f->wire_size()),
-          trace_now()));
-    if (rejoin) {
-      rc.ledger->record_reconnect(id);
-      if (traced)
-        cfg_.tracer->record(metrics::ev_reconnect(rc.round, id, trace_now()));
-    }
-    send_to(id, make_frame(MsgType::kWelcome, 0, kServerId,
-                           welcome_payload_));
-    // Catch the rejoiner up with the in-flight round state.
-    if (rc.phase == Phase::kScore &&
-        !rc.scored[static_cast<std::size_t>(id)]) {
-      send_model(rc, id);
-    } else if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-               !delivered_[static_cast<std::size_t>(id)]) {
-      const Frame sf = make_frame(MsgType::kSelect,
-                                  static_cast<std::uint32_t>(rc.round),
-                                  kServerId, encode_f64(rc.ratio_of.at(id)));
-      const std::size_t sent = send_to(id, sf);
-      if (sent != 0) {
-        rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-        if (traced)
-          cfg_.tracer->record(metrics::ev_retransmit(
-              rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-      }
-    }
-  }
-
-  // 2) One non-blocking poll pass over every attached connection.
-  for (int id = 0; id < cfg_.expected_clients; ++id) {
-    auto& conn = conns_[static_cast<std::size_t>(id)];
-    while (conn) {
-      std::optional<Frame> f;
-      try {
-        f = conn->recv(std::chrono::milliseconds(0));
-      } catch (const CheckError&) {
-        conn.reset();  // malformed stream: drop the connection
-        break;
-      }
-      if (!f) {
-        if (conn->closed()) conn.reset();  // EOF noticed
-        break;
-      }
-      progress = true;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            id, to_string(f->type),
-            static_cast<std::int64_t>(f->wire_size()), trace_now()));
-      try {
-        handle_frame(rc, id, *f);
-      } catch (const CheckError&) {
-        conn.reset();  // bad payload: drop, round degrades
-      }
-    }
-  }
-
-  // 3) Poll classic-mode relay connections. A malformed or dead stream
-  // drops the whole binding; its leaves fall back to unreachable until a
-  // redial or standby promotion re-binds the range.
-  for (std::size_t ridx = 0; ridx < relays_.size();) {
-    bool dropped = false;
-    while (relays_[ridx].conn) {
-      std::optional<Frame> f;
-      try {
-        f = relays_[ridx].conn->recv(std::chrono::milliseconds(0));
-      } catch (const CheckError&) {
-        drop_relay(ridx);
-        dropped = true;
-        break;
-      }
-      if (!f) {
-        if (relays_[ridx].conn->closed()) {
-          drop_relay(ridx);
-          dropped = true;
-        }
-        break;
-      }
-      progress = true;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            f->client_id == kServerId ? -1 : static_cast<int>(f->client_id),
-            to_string(f->type), static_cast<std::int64_t>(f->wire_size()),
-            trace_now()));
-      try {
-        handle_relay_frame(rc, ridx, *f);
-      } catch (const CheckError&) {
-        drop_relay(ridx);
-        dropped = true;
-        break;
-      }
-    }
-    if (!dropped) ++ridx;
-  }
-  return progress;
-}
-
-bool ServerSession::service_event_loop(RoundCtx& rc) {
-  // Accepted connections stay unbound (and unserviced) until their first
-  // frame — the HELLO — arrives; nothing to do for them here.
+  // One drain: the loop's sockets, then every polled transport, into one
+  // batch; closed or failed peers of either kind into one reap list.
+  // Accepted sockets stay unbound until their first frame arrives.
   loop_->take_accepted();
-  for (const ConnId conn : loop_->take_closed()) {
-    auto rit = relay_conn_.find(conn);
-    if (rit != relay_conn_.end()) {
-      drop_relay(rit->second);
-      continue;
-    }
-    auto it = conn_client_.find(conn);
-    if (it != conn_client_.end()) {
-      if (client_conn_[static_cast<std::size_t>(it->second)] == conn)
-        client_conn_[static_cast<std::size_t>(it->second)] = kNoConn;
-      conn_client_.erase(it);
-    }
-    auto st = standby_links_.find(conn);
-    if (st != standby_links_.end()) {
-      st->second->closed.store(true);
-      st->second->cv.notify_all();
-      standby_links_.erase(st);
-    }
-  }
-
+  std::vector<ConnId> reap = loop_->take_closed();
   frame_batch_.clear();
   loop_->poll_all(frame_batch_);
-  if (frame_batch_.empty()) return false;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    for (auto& t : pending_) polled_.emplace(next_polled_++, std::move(t));
+    pending_.clear();
+  }
+  const auto drained_at = Clock::now();
+  for (auto& [conn, t] : polled_) {
+    try {
+      while (std::optional<Frame> f = t->recv(std::chrono::milliseconds(0)))
+        frame_batch_.push_back(InFrame{conn, std::move(*f), drained_at});
+      if (t->closed()) reap.push_back(conn);  // EOF noticed
+    } catch (const CheckError&) {
+      reap.push_back(conn);  // malformed stream
+    }
+  }
+  handle_batch(rc);
+  // Reaped after the batch: frames a peer sent before it closed still count.
+  for (const ConnId conn : reap) drop_conn(conn);
+  return !frame_batch_.empty();
+}
 
-  const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
-
+void ServerSession::handle_batch(RoundCtx& rc) {
   // Pass 1 (sequential, arrival order): dispatch-latency metric, standby
   // routing, handshakes, and every non-UPDATE frame. Aggregatable UPDATE
   // frames only get collected as decode jobs — one per client at most
   // (pending_decode_), so every job owns a disjoint delivery slot.
   decode_jobs_.clear();
-  const auto drained_at = Clock::now();
+  const auto dispatched_at = Clock::now();
   for (std::size_t i = 0; i < frame_batch_.size(); ++i) {
     const InFrame& inf = frame_batch_[i];
+    const Frame& f = inf.frame;
     if (dispatch_hist_ != nullptr)
-      dispatch_hist_->observe(
-          std::chrono::duration<double, std::milli>(drained_at - inf.enqueued)
-              .count());
-    auto st = standby_links_.find(inf.conn);
-    if (st != standby_links_.end()) {
+      dispatch_hist_->observe(std::chrono::duration<double, std::milli>(
+                                  dispatched_at - inf.enqueued)
+                                  .count());
+    const auto peer = peers_.find(inf.conn);
+    if (peer == peers_.end()) {
+      handle_handshake(rc, inf);
+      continue;
+    }
+    if (peer->second.role == Peer::Role::kStandby) {
       // Replication peer: its frames belong to the publisher, delivered via
-      // the shared inbox its LoopPeerTransport recv()s from.
+      // the shared inbox its StandbyLinkTransport recv()s from. A link the
+      // publisher closed gets its connection closed here.
+      StandbyLink& link = *peer->second.standby;
+      if (link.closed.load()) {
+        drop_conn(inf.conn);
+        continue;
+      }
       {
-        std::lock_guard<std::mutex> lk(st->second->mu);
-        st->second->inbox.push_back(inf.frame);
+        std::lock_guard<std::mutex> lk(link.mu);
+        link.inbox.push_back(f);
       }
-      st->second->cv.notify_all();
+      link.cv.notify_all();
       continue;
     }
-    auto rit = relay_conn_.find(inf.conn);
-    if (rit != relay_conn_.end()) {
-      if (traced)
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx,
-            static_cast<int>(inf.frame.round),
-            inf.frame.client_id == kServerId
-                ? -1
-                : static_cast<int>(inf.frame.client_id),
-            to_string(inf.frame.type),
-            static_cast<std::int64_t>(inf.frame.wire_size()), trace_now()));
+    if (peer->second.role == Peer::Role::kRelay) {
+      trace_frame(metrics::TraceEventType::kFrameRx, f, relay_peer(f));
       try {
-        handle_relay_frame(rc, rit->second, inf.frame);
+        handle_relay_frame(rc, relay_of(inf.conn), f);
       } catch (const CheckError&) {
-        drop_relay(rit->second);  // hostile relay: drop the whole binding
+        drop_conn(inf.conn);  // hostile relay: drop the whole binding
       }
       continue;
     }
-    auto bound = conn_client_.find(inf.conn);
-    if (bound == conn_client_.end()) {
-      handle_loop_handshake(rc, inf);
-      continue;
-    }
-    const int id = bound->second;
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx,
-          static_cast<int>(inf.frame.round), id, to_string(inf.frame.type),
-          static_cast<std::int64_t>(inf.frame.wire_size()), trace_now()));
-    if (inf.frame.type == MsgType::kUpdate) {
+    const int id = peer->second.client;
+    trace_frame(metrics::TraceEventType::kFrameRx, f, id);
+    if (f.type == MsgType::kUpdate) {
       if (rc.phase == Phase::kUpdate &&
-          inf.frame.round == static_cast<std::uint32_t>(rc.round) &&
+          f.round == static_cast<std::uint32_t>(rc.round) &&
           rc.awaiting.count(id) != 0 &&
           !delivered_[static_cast<std::size_t>(id)] &&
           !pending_decode_[static_cast<std::size_t>(id)]) {
         pending_decode_[static_cast<std::size_t>(id)] = 1;
         decode_jobs_.push_back(DecodeJob{i, id});
       }
-      continue;  // stale/duplicate UPDATE: ignored, as in handle_frame
+      continue;  // stale/duplicate UPDATE: ignored
     }
     try {
-      handle_frame(rc, id, inf.frame);
+      handle_frame(rc, id, f);
     } catch (const CheckError&) {
-      drop_loop_conn(inf.conn);  // bad payload: drop, round degrades
+      drop_conn(inf.conn);  // bad payload: drop, round degrades
     }
   }
+  if (decode_jobs_.empty()) return;
 
   // Pass 2 (parallel): decode every collected UPDATE into its client's
   // private delivery slot. Jobs touch disjoint slots and no shared state;
   // CheckError is captured per job — never thrown across the worker pool.
-  if (!decode_jobs_.empty()) {
-    decode_ok_.assign(decode_jobs_.size(), 0);
-    const auto jn = static_cast<std::int64_t>(decode_jobs_.size());
-    core::parallel_for_blocked(0, jn, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t j = lo; j < hi; ++j) {
-        const DecodeJob& job = decode_jobs_[static_cast<std::size_t>(j)];
-        core::AdaFlDelivery& dl =
-            delivery_slots_[static_cast<std::size_t>(job.client)];
-        try {
-          parse_update_fields(frame_batch_[job.batch_index].frame.payload,
-                              dl);
-          dl.meta_only = false;  // reused slot may hold stale relay metadata
-          ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
-                          "session: UPDATE from client "
-                              << job.client
-                              << " carries a non-top-k message");
-          ADAFL_CHECK_MSG(
-              dl.msg.dense_size ==
-                  static_cast<std::int64_t>(core_.global().size()),
-              "session: UPDATE from client " << job.client
-                                             << " dimension mismatch");
-          decode_ok_[static_cast<std::size_t>(j)] = 1;
-        } catch (const CheckError&) {
-          // leave decode_ok_ 0; the offender is dropped below
-        }
+  // The slot is only marked delivered in pass 3, so a partial decode cannot
+  // be aggregated.
+  decode_ok_.assign(decode_jobs_.size(), 0);
+  const auto jn = static_cast<std::int64_t>(decode_jobs_.size());
+  core::parallel_for_blocked(0, jn, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t j = lo; j < hi; ++j) {
+      const DecodeJob& job = decode_jobs_[static_cast<std::size_t>(j)];
+      core::AdaFlDelivery& dl =
+          delivery_slots_[static_cast<std::size_t>(job.client)];
+      try {
+        parse_update_fields(frame_batch_[job.batch_index].frame.payload, dl);
+        dl.meta_only = false;  // reused slot may hold stale relay metadata
+        // Reject protocol-valid-but-wrong updates here: the offending peer
+        // is dropped and the round degrades. deserialize() already bounds
+        // top-k indices by dense_size, so past these two checks apply_round
+        // cannot throw on this delivery.
+        ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
+                        "session: UPDATE from client "
+                            << job.client << " carries a non-top-k message");
+        ADAFL_CHECK_MSG(
+            dl.msg.dense_size ==
+                static_cast<std::int64_t>(core_.global().size()),
+            "session: UPDATE from client " << job.client
+                                           << " dimension mismatch");
+        decode_ok_[static_cast<std::size_t>(j)] = 1;
+      } catch (const CheckError&) {
+        // leave decode_ok_ 0; the offender is dropped below
       }
-    });
-
-    // Pass 3 (sequential, batch order): commit decode results.
-    for (std::size_t j = 0; j < decode_jobs_.size(); ++j) {
-      const DecodeJob& job = decode_jobs_[j];
-      pending_decode_[static_cast<std::size_t>(job.client)] = 0;
-      if (!decode_ok_[j]) {
-        drop_loop_conn(frame_batch_[job.batch_index].conn);
-        continue;
-      }
-      delivered_[static_cast<std::size_t>(job.client)] = 1;
-      ++delivered_count_;
-      rc.ledger->record_upload(
-          job.client,
-          static_cast<std::int64_t>(
-              frame_batch_[job.batch_index].frame.wire_size()),
-          true);
     }
+  });
+
+  // Pass 3 (sequential, batch order): commit decode results.
+  for (std::size_t j = 0; j < decode_jobs_.size(); ++j) {
+    const DecodeJob& job = decode_jobs_[j];
+    const InFrame& inf = frame_batch_[job.batch_index];
+    pending_decode_[static_cast<std::size_t>(job.client)] = 0;
+    if (!decode_ok_[j]) {
+      drop_conn(inf.conn);
+      continue;
+    }
+    delivered_[static_cast<std::size_t>(job.client)] = 1;
+    ++delivered_count_;
+    rc.ledger->record_upload(
+        job.client, static_cast<std::int64_t>(inf.frame.wire_size()), true);
   }
-  return true;
 }
 
-void ServerSession::handle_loop_handshake(RoundCtx& rc, const InFrame& inf) {
+void ServerSession::handle_handshake(RoundCtx& rc, const InFrame& inf) {
+  // A polled peer dropped earlier in this batch is gone: its later frames
+  // must not bind it again. (A dropped loop socket comes back through
+  // take_closed() on the next pass, which undoes any such binding.)
+  if (inf.conn >= kPolledBase && polled_.count(inf.conn) == 0) return;
   const Frame& f = inf.frame;
-  const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
-  if (f.type == MsgType::kStandbyHello) {
-    // A replication peer, not a client: hand the connection to the
-    // publisher (or drop it when replication is not configured).
-    try {
-      ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
-                      "session: standby protocol version mismatch");
-    } catch (const CheckError&) {
-      loop_->close_conn(inf.conn);
-      return;
-    }
-    if (cfg_.publisher == nullptr) {
-      loop_->close_conn(inf.conn);
-      return;
-    }
-    auto state = std::make_shared<LoopPeerState>();
-    standby_links_[inf.conn] = state;
-    cfg_.publisher->adopt(std::make_unique<LoopPeerTransport>(
-        loop_, inf.conn, std::move(state)));
-    return;
-  }
-  if (f.type == MsgType::kRelayHello) {
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), -1,
-          to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-          trace_now()));
-    try {
-      const RelayHelloPayload h = parse_relay_hello(f.payload);
-      handle_relay_hello(rc, h, nullptr, inf.conn);
-    } catch (const CheckError&) {
-      loop_->close_conn(inf.conn);  // invalid claim: drop
-    }
-    return;
-  }
   int id = -1;
   try {
+    if (f.type == MsgType::kStandbyHello) {
+      // A replication peer, not a client: its frames go to the publisher
+      // (the connection is dropped when replication is not configured).
+      ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
+                      "session: standby protocol version mismatch");
+      ADAFL_CHECK_MSG(cfg_.publisher != nullptr,
+                      "session: standby but no replication publisher");
+      auto link = std::make_shared<StandbyLink>();
+      link->send = [this, conn = inf.conn](const Frame& out) {
+        return send_bytes(conn, out, nullptr);
+      };
+      peers_[inf.conn] = Peer{Peer::Role::kStandby, -1, link};
+      cfg_.publisher->adopt(
+          std::make_unique<StandbyLinkTransport>(std::move(link)));
+      return;
+    }
+    if (f.type == MsgType::kRelayHello) {
+      // A mid-tier aggregator announcing its leaf range.
+      trace_frame(metrics::TraceEventType::kFrameRx, f, -1);
+      handle_relay_hello(rc, parse_relay_hello(f.payload), inf.conn);
+      return;
+    }
     ADAFL_CHECK_MSG(f.type == MsgType::kHello,
                     "session: expected HELLO, got " << to_string(f.type));
     ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
@@ -1395,46 +1113,29 @@ void ServerSession::handle_loop_handshake(RoundCtx& rc, const InFrame& inf) {
         "session: client id " << f.client_id << " out of range");
     id = static_cast<int>(f.client_id);
   } catch (const CheckError&) {
-    loop_->close_conn(inf.conn);  // bad handshake: drop
+    drop_conn(inf.conn);  // bad handshake or invalid claim: drop
     return;
   }
-  const bool rejoin = ever_joined_[static_cast<std::size_t>(id)];
-  const ConnId old = client_conn_[static_cast<std::size_t>(id)];
-  if (old != kNoConn && old != inf.conn) {
-    conn_client_.erase(old);  // redial replaces any stale binding
-    loop_->close_conn(old);
-  }
-  client_conn_[static_cast<std::size_t>(id)] = inf.conn;
-  conn_client_[inf.conn] = id;
-  ever_joined_[static_cast<std::size_t>(id)] = true;
-  if (traced)
-    cfg_.tracer->record(metrics::ev_frame(
-        metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), id,
-        to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-        trace_now()));
+  const auto slot = static_cast<std::size_t>(id);
+  if (client_conn_[slot] != kNoConn)
+    drop_conn(client_conn_[slot]);  // a redial replaces the stale binding
+  client_conn_[slot] = inf.conn;
+  peers_[inf.conn] = Peer{Peer::Role::kClient, id, nullptr};
+  const bool rejoin = ever_joined_[slot];
+  ever_joined_[slot] = true;
+  trace_frame(metrics::TraceEventType::kFrameRx, f, id);
   if (rejoin) {
     rc.ledger->record_reconnect(id);
-    if (traced)
+    if (tracing())
       cfg_.tracer->record(metrics::ev_reconnect(rc.round, id, trace_now()));
   }
   send_to(id, make_frame(MsgType::kWelcome, 0, kServerId, welcome_payload_),
           &welcome_frame_bytes_);
   // Catch the joiner up with the in-flight round state.
-  if (rc.phase == Phase::kScore && !rc.scored[static_cast<std::size_t>(id)]) {
+  if (rc.phase == Phase::kScore && !rc.scored[slot])
     send_model(rc, id);
-  } else if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-             !delivered_[static_cast<std::size_t>(id)]) {
-    const Frame sf = make_frame(MsgType::kSelect,
-                                static_cast<std::uint32_t>(rc.round),
-                                kServerId, encode_f64(rc.ratio_of.at(id)));
-    const std::size_t sent = send_to(id, sf);
-    if (sent != 0) {
-      rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-      if (traced)
-        cfg_.tracer->record(metrics::ev_retransmit(
-            rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-    }
-  }
+  else
+    resend_select(rc, id);
 }
 
 fl::TrainLog ServerSession::run() {
@@ -1457,10 +1158,14 @@ fl::TrainLog ServerSession::run() {
       cfg_.registry != nullptr
           ? &cfg_.registry->histogram("server.round_latency_ms")
           : nullptr;
-  dispatch_hist_ = (cfg_.registry != nullptr && loop_ != nullptr)
+  dispatch_hist_ = cfg_.registry != nullptr
                        ? &cfg_.registry->histogram("server.frame_dispatch_ms")
                        : nullptr;
-  if (loop_ != nullptr) loop_->start();
+  if (loop_ == nullptr) {
+    own_loop_ = std::make_unique<EventLoop>(EventLoopConfig{});
+    loop_ = own_loop_.get();
+  }
+  loop_->start();
 
   int start_round = 1;
   if (cfg_.resume) {
@@ -1559,14 +1264,9 @@ fl::TrainLog ServerSession::run() {
         nudge_gap *= 2;
         next_nudge = Clock::now() + nudge_gap;
       }
-      if (!progress) {
-        // Loop mode blocks on the loop's activity signal instead of a dumb
-        // sleep: a frame landing mid-sleep wakes the service pass at once.
-        if (loop_ != nullptr)
-          loop_->wait_activity(cfg_.idle_poll);
-        else
-          std::this_thread::sleep_for(cfg_.idle_poll);
-      }
+      // Block on the loop's activity signal instead of a dumb sleep: a
+      // frame (or a watched datagram) landing mid-wait wakes the pass.
+      if (!progress) loop_->wait_activity(cfg_.idle_poll);
     }
     if (stop_.load(std::memory_order_acquire)) {
       stop_now(round, round_start);
@@ -1607,12 +1307,7 @@ fl::TrainLog ServerSession::run() {
         nudge_gap *= 2;
         next_nudge = Clock::now() + nudge_gap;
       }
-      if (!progress) {
-        if (loop_ != nullptr)
-          loop_->wait_activity(cfg_.idle_poll);
-        else
-          std::this_thread::sleep_for(cfg_.idle_poll);
-      }
+      if (!progress) loop_->wait_activity(cfg_.idle_poll);
     }
     if (stop_.load(std::memory_order_acquire)) {
       stop_now(round, round_start);  // the interrupted round replays
@@ -1685,52 +1380,21 @@ fl::TrainLog ServerSession::run() {
     }
   }
 
-  // --- Orderly shutdown: tell everyone training is over.
-  for (int id = 0; id < n; ++id) {
-    auto& conn = conns_[static_cast<std::size_t>(id)];
-    if (!conn) continue;
-    conn->send(make_frame(MsgType::kShutdown, 0, kServerId));
-    conn->close();
-    conn.reset();
-  }
-  // One SHUTDOWN per relay; it broadcasts to its subtree and exits.
+  // --- Orderly shutdown: SHUTDOWN to every client and relay (a relay
+  // broadcasts it to its subtree and exits), then stand the standbys down —
+  // SIGKILL never reaches this, which is exactly when promotion is wanted.
+  // Loop sends are async, so drain them before closing: the final frames
+  // must actually leave the box.
+  const Frame sd = make_frame(MsgType::kShutdown, 0, kServerId);
+  const Bytes sd_bytes =
+      std::make_shared<const std::vector<std::uint8_t>>(encode_frame(sd));
+  for (int id = 0; id < n; ++id)
+    if (direct_connected(id)) send_to(id, sd, &sd_bytes);
   for (std::size_t ridx = 0; ridx < relays_.size(); ++ridx)
-    send_to_relay(ridx, make_frame(MsgType::kShutdown, 0, kServerId));
-  for (auto& rb : relays_)
-    if (rb.conn) {
-      rb.conn->close();
-      rb.conn.reset();
-    }
-  if (loop_ != nullptr) {
-    const Frame sd = make_frame(MsgType::kShutdown, 0, kServerId);
-    const auto sd_bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_frame(sd));
-    for (int id = 0; id < n; ++id)
-      if (client_conn_[static_cast<std::size_t>(id)] != kNoConn)
-        send_to(id, sd, &sd_bytes);
-  }
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    for (auto& t : pending_) t->close();
-    pending_.clear();
-  }
-  // Standbys stand down on a completed run — SIGKILL never reaches this,
-  // which is exactly when promotion is wanted.
+    send_to_relay(ridx, sd, &sd_bytes);
   if (cfg_.publisher != nullptr) cfg_.publisher->shutdown_standbys();
-  if (loop_ != nullptr) {
-    // The SHUTDOWN broadcast (and the publisher's stand-down frames, which
-    // ride LoopPeerTransport) are async loop commands: drain them before
-    // stopping so the final frames actually leave the box.
-    loop_->flush(std::chrono::milliseconds(2000));
-    for (auto& [conn, state] : standby_links_) {
-      state->closed.store(true);
-      state->cv.notify_all();
-    }
-    standby_links_.clear();
-    conn_client_.clear();
-    std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
-    loop_->stop();
-  }
+  loop_->flush(std::chrono::milliseconds(2000));
+  drop_all_connections();
 
   if (traced) tracer->flush();
   core_.set_tracer(nullptr);

@@ -32,6 +32,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/adafl_server.h"
@@ -48,6 +49,7 @@ class CheckpointPublisher;
 namespace adafl::metrics {
 class Registry;
 class Histogram;
+enum class TraceEventType : std::uint8_t;
 }
 
 namespace adafl::net::transport {
@@ -55,9 +57,9 @@ namespace adafl::net::transport {
 /// Protocol version carried in HELLO; bumped on incompatible changes.
 constexpr std::uint32_t kProtocolVersion = 1;
 
-/// Shared inbox between an event-loop standby connection and the Transport
-/// adapter handed to the replication publisher (defined in session.cpp).
-struct LoopPeerState;
+/// Shared inbox between a standby connection and the Transport adapter
+/// handed to the replication publisher (defined in session.cpp).
+struct StandbyLink;
 
 // --- Message payload codecs (exposed for tests and scripted peers). ------
 
@@ -179,7 +181,9 @@ struct ServerSessionConfig {
   /// expiry the server aggregates what arrived, emits update_lost for the
   /// rest, and moves on.
   std::chrono::milliseconds round_total_deadline{0};
-  /// Poll sleep while waiting for network activity.
+  /// Longest wait between idle service passes. Event-loop activity (a
+  /// frame, an accept, a watched datagram fd) ends the wait early; a polled
+  /// transport's frames are seen on the next pass.
   std::chrono::milliseconds idle_poll{20};
   /// Anti-wedge retransmission: while a phase is stalled (no frame
   /// processed), periodically re-send the pending frame — MODEL to
@@ -226,15 +230,28 @@ struct ServerSessionConfig {
 
   /// Optional metrics registry. When set, the session records the
   /// "server.round_latency_ms" histogram (wall time per committed round)
-  /// and — in event-loop mode — "server.frame_dispatch_ms" (enqueue on the
-  /// loop thread to drain on the session thread, the p99 of which is the
-  /// scaling health metric). Not owned; must outlive run().
+  /// and "server.frame_dispatch_ms" (enqueue on the event-loop thread to
+  /// dispatch on the session thread, the p99 of which is the scaling health
+  /// metric; frames of add_transport() peers are stamped when a service
+  /// pass drains them, so they record only the in-pass delay). Not owned;
+  /// must outlive run().
   metrics::Registry* registry = nullptr;
 };
 
-/// Runs the AdaFL server over any Transport mix (TCP and/or loopback).
-/// add_transport() may be called from another thread (e.g. an accept loop)
-/// at any time before or during run().
+/// Runs the AdaFL server over every peer it is given, through one service
+/// path. Peers arrive two ways:
+///   * event-loop sockets: an attached EventLoop (flserver's, with the TCP
+///     listener adopted) owns them; when none is attached run() starts a
+///     private listener-less loop, so there always is one;
+///   * polled transports: add_transport() hands over any Transport (the UDP
+///     mux's peers, loopback pairs, accept-thread sockets); the session owns
+///     them and sweeps each with recv(0) once per service pass.
+/// Both kinds share one connection table keyed by ConnId (polled peers get
+/// ids from a range the loop never allocates), one handshake
+/// (HELLO / RELAY_HELLO / STANDBY_HELLO), one frame dispatch with parallel
+/// UPDATE decode, and one send primitive. add_transport() may be called
+/// from another thread (e.g. an accept loop) at any time before or during
+/// run().
 class ServerSession {
  public:
   /// `test` may be null (no evaluation; records carry accuracy 0).
@@ -245,14 +262,9 @@ class ServerSession {
   /// session. Thread-safe.
   void add_transport(std::unique_ptr<Transport> t);
 
-  /// Switches the session onto an event-loop transport backend: the loop
-  /// (configured with its listener adopted, not yet started) owns every
-  /// TCP socket, run() starts/stops it, and the round loop drains the
-  /// loop's per-shard frame queues instead of polling Transports — UPDATE
-  /// payloads of one service pass decode in parallel on the worker pool
-  /// (one disjoint delivery slot per client), everything else is handled
-  /// on the session thread in arrival order. add_transport() connections
-  /// keep working alongside (the UDP path). Call before run().
+  /// Serves the sockets of `loop` (configured with its listener adopted,
+  /// and any watch_fd() sources, not yet started) instead of a private
+  /// listener-less loop; run() starts and stops it. Call before run().
   void attach_event_loop(EventLoop* loop);
 
   /// Runs all configured rounds; returns the training log. Call once.
@@ -273,6 +285,7 @@ class ServerSession {
 
  private:
   enum class Phase { kScore, kUpdate };
+  using Bytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   /// Per-round mutable state shared by the service loop.
   struct RoundCtx {
@@ -287,29 +300,42 @@ class ServerSession {
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
     /// round). `model_bytes` caches its encoding ONCE — the same immutable
-    /// buffer goes to every event-loop connection, polled transport
-    /// (Transport::send_encoded) and relay, so a 10k-client broadcast
-    /// encodes the model one time.
+    /// buffer goes to every connection and relay, so a 10k-client
+    /// broadcast encodes the model one time. Null until built.
     Frame model_frame;
-    std::shared_ptr<const std::vector<std::uint8_t>> model_bytes;
-    bool model_ready = false;
+    Bytes model_bytes;
     /// Relay-delivered group partials of this round, keyed by group base
     /// (first accepted UPDATE-AGG per group wins; duplicates are ignored).
     std::map<int, compress::EncodedGradient> wire_partials;
   };
 
-  /// Sends `f` on client `id`'s connection; on failure the connection is
-  /// dropped. Returns delivered frame size (0 on failure). When `pre` is
-  /// non-null it holds encode_frame(f), sent instead of re-encoding `f`
-  /// (broadcast fast path); a relay-covered leaf gets `f` re-addressed, so
-  /// there `pre` is unused.
-  std::size_t send_to(
-      int id, const Frame& f,
-      const std::shared_ptr<const std::vector<std::uint8_t>>* pre = nullptr);
+  /// What a connection handshook as. A connection without an entry in
+  /// peers_ has not sent its first frame yet.
+  struct Peer {
+    enum class Role { kClient, kRelay, kStandby } role = Role::kClient;
+    int client = -1;                       ///< kClient: the bound id
+    std::shared_ptr<StandbyLink> standby;  ///< kStandby: publisher's inbox
+  };
+
+  /// The one send primitive: queues `f` on the loop for a loop socket,
+  /// sends it on the transport for a polled peer. A non-null `pre` holds
+  /// encode_frame(f) and is sent as is. A polled transport whose send fails
+  /// is closed; the next drain reaps it. Returns false when the frame
+  /// certainly did not leave (a dead loop socket surfaces later, through
+  /// take_closed(), exactly like a lost datagram).
+  bool send_bytes(ConnId conn, const Frame& f, const Bytes* pre);
+  /// Sends `f` to client `id`: on its direct connection, else through the
+  /// relay covering it (re-addressed to the leaf, so `pre` is unused
+  /// there). Returns the delivered frame size (0 on failure).
+  std::size_t send_to(int id, const Frame& f, const Bytes* pre = nullptr);
   void send_model(RoundCtx& rc, int id);
   /// Builds rc.model_frame and rc.model_bytes once per round; later calls
   /// are no-ops.
   void ensure_model_frame(RoundCtx& rc);
+  /// Re-sends SELECT to `id` when it is selected this round and still owes
+  /// its UPDATE (rejoin catch-up and nudges); books the bytes as
+  /// retransmitted.
+  void resend_select(RoundCtx& rc, int id);
   /// True when client `id` is reachable: a direct live connection, or a
   /// live relay route with the leaf announced alive behind it. This is the
   /// definition quorum/deadline math uses, so a relay connection counts as
@@ -317,40 +343,47 @@ class ServerSession {
   bool connected(int id) const;
   /// True only for a direct (non-relayed) live connection to `id`.
   bool direct_connected(int id) const;
-  /// Services pending handshakes and one poll pass over all connections.
-  /// Returns true if any frame was processed (progress).
+  /// One service pass: drains the loop's frames and every polled
+  /// transport's into frame_batch_, handles the batch, then reaps the
+  /// connections found closed. Returns true if any frame was processed.
   bool service(RoundCtx& rc);
-  /// service() for event-loop mode: drain shard queues, parallel-decode
-  /// UPDATE frames, handle the rest sequentially in arrival order.
-  bool service_event_loop(RoundCtx& rc);
-  /// Handles the first frame of an unbound event-loop connection
-  /// (HELLO -> client binding + WELCOME + catchup; STANDBY_HELLO -> hand
-  /// to the replication publisher; anything else -> close).
-  void handle_loop_handshake(RoundCtx& rc, const InFrame& inf);
-  /// Closes an event-loop connection and forgets its client binding.
-  void drop_loop_conn(ConnId conn);
+  /// Handles frame_batch_: handshakes, standby routing and every frame
+  /// but UPDATE sequentially in arrival order; UPDATE payloads decode in
+  /// parallel (one disjoint delivery slot per client) and commit in batch
+  /// order.
+  void handle_batch(RoundCtx& rc);
+  /// Handles the first frame of a connection: HELLO binds a client (WELCOME
+  /// + in-round catch-up), RELAY_HELLO a relay, STANDBY_HELLO hands the
+  /// connection to the replication publisher; anything else closes it.
+  void handle_handshake(RoundCtx& rc, const InFrame& inf);
+  /// Dispatches one non-UPDATE frame from bound client `id`.
   void handle_frame(RoundCtx& rc, int id, const Frame& f);
-  /// Binds a freshly-handshaken mid-tier relay (classic `conn` XOR
-  /// event-loop `loop_conn`), replacing any binding overlapping its range,
-  /// and catches it up with the in-flight round (WELCOME + MODEL + pending
-  /// SELECTs for its leaves). Throws CheckError on an invalid claim.
+  /// Binds a freshly-handshaken mid-tier relay, replacing any binding
+  /// overlapping its range, and catches it up with the in-flight round
+  /// (WELCOME + MODEL + pending SELECTs for its leaves). Throws CheckError
+  /// on an invalid claim.
   void handle_relay_hello(RoundCtx& rc, const RelayHelloPayload& h,
-                          std::unique_ptr<Transport> conn, ConnId loop_conn);
+                          ConnId conn);
   /// Dispatches one frame arriving on relay `ridx`'s connection. Frames
   /// carry the leaf id in frame.client_id; CheckError propagates to the
   /// caller, which must drop the relay.
   void handle_relay_frame(RoundCtx& rc, std::size_t ridx, const Frame& f);
   void handle_update_agg(RoundCtx& rc, std::size_t ridx, const Frame& f);
-  /// Sends on relay `ridx`'s connection (either mode); returns bytes sent.
-  /// A non-null `pre` holds encode_frame(f) and is sent as is.
-  std::size_t send_to_relay(
-      std::size_t ridx, const Frame& f,
-      const std::shared_ptr<const std::vector<std::uint8_t>>* pre = nullptr);
+  /// Sends on relay `ridx`'s connection; returns bytes sent. A non-null
+  /// `pre` holds encode_frame(f) and is sent as is.
+  std::size_t send_to_relay(std::size_t ridx, const Frame& f,
+                            const Bytes* pre = nullptr);
   /// Pushes the round's MODEL to relay `ridx` (once per round; re-sends
   /// book as retransmissions). The relay re-broadcasts to its children.
   void send_model_to_relay(RoundCtx& rc, std::size_t ridx);
-  /// Drops relay `ridx`: closes its connection, clears its leaves' routes
-  /// and liveness, and compacts the relay table.
+  /// Closes connection `conn` and forgets what it was bound to: a client's
+  /// binding, a relay's (drop_relay) or a standby's link. Idempotent.
+  void drop_conn(ConnId conn);
+  /// Index in relays_ of the relay bound to `conn` (which must be one).
+  std::size_t relay_of(ConnId conn) const;
+  /// Forgets relay `ridx`: clears its leaves' routes and liveness and
+  /// compacts the relay table. Called by drop_conn, which closes the
+  /// connection.
   void drop_relay(std::size_t ridx);
   /// Re-sends the stalled phase's pending frame (MODEL / SELECT); books the
   /// bytes as retransmitted.
@@ -362,10 +395,18 @@ class ServerSession {
   /// Loads + validates the checkpoint and restores the core. Returns the
   /// round to resume at.
   int resume_from_checkpoint();
-  /// Abruptly closes every connection (no SHUTDOWN): the stop path.
+  /// Abruptly closes every connection (no SHUTDOWN) and stops the loop:
+  /// the stop path, and the teardown after the SHUTDOWN broadcast.
   void drop_all_connections();
   /// Wall-clock seconds since run() started (trace event timestamps).
   double trace_now() const;
+  /// True when a tracer is attached and recording.
+  bool tracing() const;
+  /// Records a frame_tx/frame_rx event for `f`; `peer` is the client id,
+  /// -1 for the server or a relay itself.
+  void trace_frame(metrics::TraceEventType type, const Frame& f, int peer);
+  /// Books `sent` retransmitted bytes against client `id`.
+  void book_retransmit(RoundCtx& rc, int id, std::size_t sent);
 
   ServerSessionConfig cfg_;
   nn::ModelFactory factory_;
@@ -375,44 +416,44 @@ class ServerSession {
   nn::Batch eval_batch_;
   core::AdaFlServerCore core_;
   std::vector<std::uint8_t> welcome_payload_;
-
-  std::mutex pending_mu_;
-  std::vector<std::unique_ptr<Transport>> pending_;  ///< awaiting HELLO
-  std::vector<std::unique_ptr<Transport>> conns_;    ///< by client id
+  Bytes welcome_frame_bytes_;
   std::vector<bool> ever_joined_;
+
+  // --- The connection table. ----------------------------------------------
+  static constexpr ConnId kNoConn = ~ConnId{0};
+  /// Polled peers take ids from here up; loop ids count up from 0 and never
+  /// get near it.
+  static constexpr ConnId kPolledBase = ConnId{1} << 62;
+  EventLoop* loop_ = nullptr;
+  std::unique_ptr<EventLoop> own_loop_;  ///< when none was attached
+  std::mutex pending_mu_;
+  std::vector<std::unique_ptr<Transport>> pending_;  ///< add_transport()ed
+  ConnId next_polled_ = kPolledBase;
+  std::map<ConnId, std::unique_ptr<Transport>> polled_;
+  std::unordered_map<ConnId, Peer> peers_;
+  std::vector<ConnId> client_conn_;  ///< client id -> conn (kNoConn)
 
   // --- Mid-tier relay state (hierarchical aggregation). -------------------
   /// One relay connection covering leaves [base, base + count).
   struct RelayBinding {
     int base = 0;
     int count = 0;
-    std::unique_ptr<Transport> conn;       ///< classic mode (else null)
-    std::uint64_t loop_conn = ~0ull;       ///< event-loop mode (else ~0)
-    bool sent_model = false;               ///< MODEL pushed this round
+    ConnId conn = kNoConn;
+    bool sent_model = false;  ///< MODEL pushed this round
   };
   std::vector<RelayBinding> relays_;
   std::vector<int> leaf_relay_;   ///< leaf id -> relays_ index, -1 = none
   std::vector<char> child_live_;  ///< per-leaf liveness behind a relay
-  std::map<ConnId, std::size_t> relay_conn_;  ///< loop conn -> relays_ idx
 
-  // --- Event-loop mode state (loop_ != nullptr). --------------------------
-  static constexpr ConnId kNoConn = ~ConnId{0};
-  EventLoop* loop_ = nullptr;
-  std::vector<ConnId> client_conn_;        ///< client id -> conn (kNoConn)
-  std::map<ConnId, int> conn_client_;      ///< conn -> bound client id
-  /// Standby connections adopted by the replication publisher: the session
-  /// forwards their frames into this shared inbox (see LoopPeerTransport
-  /// in session.cpp).
-  std::map<ConnId, std::shared_ptr<LoopPeerState>> standby_links_;
-  std::vector<InFrame> frame_batch_;       ///< reused per service pass
+  // --- Per-pass scratch, reused. -------------------------------------------
+  std::vector<InFrame> frame_batch_;
   struct DecodeJob {
     std::size_t batch_index = 0;
     int client = 0;
   };
-  std::vector<DecodeJob> decode_jobs_;     ///< reused per service pass
+  std::vector<DecodeJob> decode_jobs_;
   std::vector<char> decode_ok_;
-  std::vector<char> pending_decode_;       ///< per-client in-batch dedupe
-  std::shared_ptr<const std::vector<std::uint8_t>> welcome_frame_bytes_;
+  std::vector<char> pending_decode_;  ///< per-client in-batch dedupe
   metrics::Histogram* dispatch_hist_ = nullptr;
 
   /// Per-client delivery slots reused across rounds (frame decoding lands

@@ -255,6 +255,147 @@ TEST(CheckpointPublisher, SeedsLateAttachersAndAnswersPings) {
   EXPECT_EQ(bye->type, MsgType::kShutdown);
 }
 
+// --- Event-loop primary, TCP standby. -------------------------------------
+
+/// Standby-side tap on the replication link: records every REPLICATE the
+/// standby receives and counts the primary's PONGs (lease renewals).
+class ReplicationTap final : public Transport {
+ public:
+  struct Log {
+    std::mutex mu;
+    std::vector<ReplicatePayload> images;
+    std::atomic<int> pongs{0};
+  };
+
+  ReplicationTap(std::unique_ptr<Transport> inner, std::shared_ptr<Log> log)
+      : inner_(std::move(inner)), log_(std::move(log)) {}
+
+  bool send(const Frame& f) override { return inner_->send(f); }
+
+  std::optional<Frame> recv(milliseconds timeout) override {
+    auto f = inner_->recv(timeout);
+    if (f && f->type == MsgType::kPong) ++log_->pongs;
+    if (f && f->type == MsgType::kReplicate) {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->images.push_back(parse_replicate(f->payload));
+    }
+    return f;
+  }
+
+  bool closed() const override { return inner_->closed(); }
+  void close() override { inner_->close(); }
+  std::string peer() const override { return inner_->peer(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::shared_ptr<Log> log_;
+};
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(StandbyReplica, TailsAnEventLoopPrimaryOverTcpAndStandsDown) {
+  const cli::TaskSpec spec = small_task_spec();
+  const fl::ClientTrainConfig client = small_client_config();
+  const core::AdaFlParams params = small_params();
+  const int rounds = 4;
+  const std::string dir_a = fresh_dir("loop_standby_primary");
+  const std::string dir_b = fresh_dir("loop_standby_replica");
+  auto task = cli::build_task(spec);
+
+  ServerSessionConfig scfg = make_server_config(spec, client, params, rounds);
+  scfg.checkpoint_dir = dir_a;
+  scfg.checkpoint_every = 1;
+  CheckpointPublisher pub;
+  scfg.publisher = &pub;
+  ServerSession server(scfg, task.factory, &task.test);
+  TcpListener listener(0);
+  const std::uint16_t port = listener.port();
+  EventLoop loop(EventLoopConfig{});
+  loop.adopt_listener(listener.fd());
+  server.attach_event_loop(&loop);
+  fl::TrainLog log;
+  std::thread server_thread([&] { log = server.run(); });
+
+  // The standby PINGs far more often than its lease needs, so every pass of
+  // the primary has lease traffic to answer.
+  auto tap = std::make_shared<ReplicationTap::Log>();
+  StandbyConfig stcfg;
+  stcfg.checkpoint_dir = dir_b;
+  stcfg.lease = milliseconds(3000);
+  stcfg.ping_interval = milliseconds(20);
+  stcfg.recv_poll = milliseconds(10);
+  StandbyReplica replica(stcfg, [&]() -> std::unique_ptr<Transport> {
+    auto t = TcpTransport::connect("127.0.0.1", port, milliseconds(1000));
+    if (!t) return nullptr;
+    return std::make_unique<ReplicationTap>(std::move(t), tap);
+  });
+  StandbyOutcome outcome{};
+  std::thread standby_thread([&] { outcome = replica.run(); });
+
+  // PONGs prove the primary adopted the standby and keeps answering its
+  // lease pings; only then may round 1 start, so the standby sees every
+  // round's checkpoint, not a late seed.
+  const auto adopted_by = std::chrono::steady_clock::now() + milliseconds(5000);
+  while (tap->pongs.load() < 2 &&
+         std::chrono::steady_clock::now() < adopted_by)
+    std::this_thread::sleep_for(milliseconds(5));
+  ASSERT_GE(tap->pongs.load(), 2) << "primary did not answer standby PINGs";
+
+  const int n = spec.clients;
+  std::vector<std::optional<cli::TaskBundle>> bundles(
+      static_cast<std::size_t>(n));
+  std::vector<ClientRunStats> stats(static_cast<std::size_t>(n));
+  std::vector<std::thread> threads;
+  for (int id = 0; id < n; ++id) {
+    threads.emplace_back([&, id] {
+      ClientSession cs(
+          test_client_config(id),
+          [port]() -> std::unique_ptr<Transport> {
+            return TcpTransport::connect("127.0.0.1", port,
+                                         milliseconds(1000));
+          },
+          make_bootstrap(&bundles[static_cast<std::size_t>(id)]));
+      stats[static_cast<std::size_t>(id)] = cs.run();
+    });
+  }
+  for (auto& t : threads) t.join();
+  server_thread.join();
+  standby_thread.join();
+  listener.close();
+
+  EXPECT_FALSE(log.interrupted);
+  for (const auto& st : stats) EXPECT_TRUE(st.completed);
+  // The completed run's SHUTDOWN stands the standby down: no promotion.
+  EXPECT_EQ(outcome, StandbyOutcome::kStandDown);
+
+  // One REPLICATE per round, in round order, every one installed.
+  const std::vector<std::uint8_t> primary = file_bytes(
+      core::checkpoint_path(dir_a));
+  ASSERT_FALSE(primary.empty());
+  std::lock_guard<std::mutex> lock(tap->mu);
+  ASSERT_EQ(tap->images.size(), static_cast<std::size_t>(rounds));
+  for (int r = 1; r <= rounds; ++r) {
+    const ReplicatePayload& p = tap->images[static_cast<std::size_t>(r - 1)];
+    EXPECT_EQ(p.next_round, static_cast<std::uint32_t>(r + 1));
+    const core::ServerCheckpoint ck = core::decode_server_checkpoint(
+        core::decode_checkpoint_file_bytes(p.image, "tapped REPLICATE"));
+    EXPECT_EQ(ck.next_round, static_cast<std::uint32_t>(r + 1));
+  }
+  EXPECT_EQ(replica.checkpoints_received(), static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(replica.rejected_payloads(), 0u);
+  EXPECT_EQ(replica.last_next_round(), static_cast<std::uint32_t>(rounds + 1));
+  // The last image is the primary's final checkpoint file, byte for byte,
+  // and the standby installed exactly those bytes.
+  EXPECT_EQ(tap->images.back().image, primary);
+  EXPECT_EQ(file_bytes(core::checkpoint_path(dir_b)), primary);
+  const core::ServerCheckpoint final_ck =
+      core::load_server_checkpoint(core::checkpoint_path(dir_b));
+  EXPECT_EQ(final_ck.global, server.global());
+}
+
 // --- End-to-end failover, bitwise (ISSUE 8 tentpole). ---------------------
 
 TEST(Failover, PromotedStandbyFinishesTheRunBitwise) {

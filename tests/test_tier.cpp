@@ -184,6 +184,20 @@ TEST(TierTransparency, TwoLevelUdpFecBitwiseEqual) {
   for (const auto& rs : tiered.relay_stats) EXPECT_TRUE(rs.completed);
 }
 
+TEST(TierTransparency, RelayBindingMidRoundGetsModelWithoutNudge) {
+  // The relays bind while round 1 is already in its score phase, after a
+  // broadcast that reached nobody. With the nudge off only the relay
+  // handshake's catch-up can deliver MODEL(1); without it no leaf trains
+  // and the run never finishes.
+  TieredOptions opt;
+  opt.retransmit_nudge = std::chrono::milliseconds(0);
+  const auto tiered = testutil::run_deployed_tiered(
+      eight_client_spec(), testutil::small_client_config(), grouped_params(),
+      kRounds, two_level(), opt);
+  ASSERT_EQ(sim_reference().global, tiered.global);
+  for (const auto& rs : tiered.relay_stats) EXPECT_TRUE(rs.completed);
+}
+
 TEST(TierTransparency, ThreeLevelSubRelayBitwiseAndTraceEqual) {
   const auto spec = eight_client_spec();
   const auto client = testutil::small_client_config();

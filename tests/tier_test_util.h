@@ -64,6 +64,9 @@ struct TieredOptions {
   net::transport::UdpFecConfig fec;
   int quorum = 0;  ///< 0 = wait for every expected client
   std::chrono::milliseconds round_deadline{30000};
+  /// Retransmit nudge of the root and every relay; 0 disables it, negative
+  /// picks the link's default (100 ms on loopback, 300 ms otherwise).
+  std::chrono::milliseconds retransmit_nudge{-1};
   /// Scripted mid-run relay crash: relay `kill_relay` severs its parent
   /// link on `kill_round`'s MODEL and stops abruptly (children dropped
   /// without SHUTDOWN), like a kill -9 of the flrelay process.
@@ -95,8 +98,12 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
   scfg.tracer = opt.tracer;
   scfg.quorum = opt.quorum;
   scfg.round_deadline = opt.round_deadline;
-  scfg.retransmit_nudge = std::chrono::milliseconds(
-      opt.link == TierLink::kLoopback ? 100 : 300);
+  const std::chrono::milliseconds nudge =
+      opt.retransmit_nudge.count() >= 0
+          ? opt.retransmit_nudge
+          : std::chrono::milliseconds(opt.link == TierLink::kLoopback ? 100
+                                                                      : 300);
+  scfg.retransmit_nudge = nudge;
   ServerSession server(scfg, task.factory, &task.test);
 
   const bool tcp = opt.link == TierLink::kTcp;
@@ -172,8 +179,7 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
     rcfg.idle_poll = std::chrono::milliseconds(2);
     rcfg.heartbeat_interval = std::chrono::milliseconds(300);
     rcfg.liveness_timeout = std::chrono::milliseconds(3000);
-    rcfg.retransmit_nudge = std::chrono::milliseconds(
-        opt.link == TierLink::kLoopback ? 100 : 300);
+    rcfg.retransmit_nudge = nudge;
     rcfg.backoff.initial = std::chrono::milliseconds(10);
     rcfg.backoff.max = std::chrono::milliseconds(100);
     rcfg.backoff.max_attempts = 50;
